@@ -20,8 +20,9 @@ using Ticks = std::int64_t;
 using ThreadId = std::uint32_t;
 
 /// Identifies one task *instance* (one execution of a task construct).
-/// Unique within a parallel region; never reused while the instance is
-/// active.  Instance 0 is reserved for the implicit task.
+/// Unique per runtime: ids keep counting across parallel regions, so a
+/// trace of several regions never names two instances alike.  Instance 0
+/// is reserved for the implicit task.
 using TaskInstanceId = std::uint64_t;
 
 /// Opaque handle to a registered source-code region (function, task

@@ -185,43 +185,44 @@ void detect_serialized_spawn_chain(const DetectorContext& ctx,
   const DiagnoseOptions& opt = ctx.options;
   const trace::TraceAnalysis& analysis = *ctx.trace_analysis;
 
-  std::unordered_map<TaskInstanceId, const trace::TaskLifetime*> by_id;
-  std::unordered_map<TaskInstanceId, std::vector<TaskInstanceId>> children;
-  for (const trace::TaskLifetime& life : analysis.tasks) {
-    by_id.emplace(life.id, &life);
-    children[life.parent].push_back(life.id);
-  }
-  for (auto& [parent, kids] : children) std::sort(kids.begin(), kids.end());
-  auto child_count = [&](TaskInstanceId id) -> std::size_t {
-    const auto it = children.find(id);
-    return it == children.end() ? 0 : it->second.size();
-  };
+  const trace::TaskForest& forest = analysis.forest;
+  const std::vector<trace::TaskForest::Node>& nodes = forest.nodes();
+  constexpr std::uint32_t kNoNode = trace::TaskForest::kNoNode;
+  const auto node_count = static_cast<std::uint32_t>(nodes.size());
 
-  // Chain starts: tasks that are not themselves a single child of a
-  // single-spawning parent.  Walk down while each link spawns exactly one.
-  int best_len = 0;
-  Ticks best_active = 0;
-  TaskInstanceId best_start = 0;
-  for (const trace::TaskLifetime& life : analysis.tasks) {
-    const auto parent = by_id.find(life.parent);
-    if (parent != by_id.end() && child_count(life.parent) == 1) {
-      continue;  // interior link; its chain is counted from the start
-    }
-    int len = 1;
-    Ticks active = life.active;
-    TaskInstanceId cur = life.id;
-    while (child_count(cur) == 1) {
-      const TaskInstanceId next = children.at(cur)[0];
-      cur = next;
-      active += by_id.at(next)->active;
-      ++len;
-    }
-    if (len > best_len || (len == best_len && life.id < best_start)) {
-      best_len = len;
-      best_active = active;
-      best_start = life.id;
+  // Completed children per completed task; `only` is the single child
+  // when there is exactly one.
+  std::vector<std::uint32_t> kids(node_count, 0);
+  std::vector<std::uint32_t> only(node_count, kNoNode);
+  for (std::uint32_t n = 0; n < node_count; ++n) {
+    const std::uint32_t parent =
+        nodes[n].completed ? forest.completed_parent(n) : kNoNode;
+    if (parent == kNoNode) continue;
+    kids[parent] += 1;
+    only[parent] = n;
+  }
+  // Length and active time of the single-spawn run from each task
+  // (children have larger indices, so one reverse sweep suffices); the
+  // longest run from a chain start — a task that is not the single
+  // child of a single-spawning parent — wins, then the smaller id.
+  std::vector<int> run(node_count, 0);
+  std::vector<Ticks> run_active(node_count, 0);
+  std::uint32_t best = kNoNode;
+  for (std::uint32_t n = node_count; n-- > 0;) {
+    if (!nodes[n].completed) continue;
+    const bool links_on = kids[n] == 1;
+    run[n] = 1 + (links_on ? run[only[n]] : 0);
+    run_active[n] = nodes[n].active + (links_on ? run_active[only[n]] : 0);
+    const std::uint32_t parent = forest.completed_parent(n);
+    if (parent != kNoNode && kids[parent] == 1) continue;  // interior link
+    if (best == kNoNode || run[n] > run[best] ||
+        (run[n] == run[best] && nodes[n].id < nodes[best].id)) {
+      best = n;
     }
   }
+  if (best == kNoNode) return;
+  const int best_len = run[best];
+  const Ticks best_active = run_active[best];
 
   if (best_len < opt.chain_min_depth) return;
   const Ticks work = ctx.workspan->work;
@@ -231,16 +232,21 @@ void detect_serialized_spawn_chain(const DetectorContext& ctx,
     return;
   }
 
-  const trace::TaskLifetime& start = *by_id.at(best_start);
   const double parallelism = ctx.workspan->logical_parallelism();
 
   Diagnosis d;
   d.detector = "serialized_spawn_chain";
   d.severity = parallelism < 2.0 ? Severity::kProblem : Severity::kWarning;
   d.score = static_cast<double>(best_len);
-  d.at = start.begin;
-  d.thread = start.first_thread;
-  d.sites.push_back(resolve_site(*ctx.input.registry, start.region));
+  // Timeline anchor: the chain start's first fragment.
+  for (const trace::TaskLifetime& life : analysis.tasks) {
+    if (life.id == nodes[best].id) {
+      d.at = life.begin;
+      d.thread = life.first_thread;
+      break;
+    }
+  }
+  d.sites.push_back(resolve_site(*ctx.input.registry, nodes[best].construct));
 
   std::ostringstream os;
   os << "serialized spawn chain: " << best_len

@@ -1,11 +1,50 @@
 #include "diagnose/diagnose.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "diagnose/detectors.hpp"
-#include "trace/analysis.hpp"
 
 namespace taskprof::diag {
+
+std::string construct_display_name(RegionHandle region,
+                                   const RegionRegistry& registry) {
+  if (region != kInvalidRegion && region < registry.size()) {
+    return registry.info(region).name;
+  }
+  return "(unattributed)";
+}
+
+WorkSpanSummary compute_workspan(const trace::TraceAnalysis& analysis,
+                                 const RegionRegistry& registry) {
+  WorkSpanSummary out;
+  for (const trace::TaskLifetime& life : analysis.tasks) {
+    out.work += life.active;
+  }
+  const trace::TaskForest::Chain chain = analysis.forest.creation_chain();
+  out.span = chain.time;
+  out.span_length = chain.length;
+
+  // Attribute chain time per construct.
+  std::unordered_map<RegionHandle, ConstructSpanShare> shares;
+  for (const std::uint32_t n : chain.nodes) {
+    const trace::TaskForest::Node& node = analysis.forest.nodes()[n];
+    ConstructSpanShare& share = shares[node.construct];
+    share.region = node.construct;
+    share.on_span += node.active;
+    share.instances += 1;
+  }
+  for (auto& [region, share] : shares) {
+    share.name = construct_display_name(region, registry);
+    out.shares.push_back(share);
+  }
+  std::sort(out.shares.begin(), out.shares.end(),
+            [](const ConstructSpanShare& a, const ConstructSpanShare& b) {
+              if (a.on_span != b.on_span) return a.on_span > b.on_span;
+              return a.region < b.region;
+            });
+  return out;
+}
 
 Severity DiagnosisReport::max_severity() const noexcept {
   Severity max = Severity::kInfo;

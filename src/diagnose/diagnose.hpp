@@ -20,10 +20,10 @@
 #include <string>
 #include <vector>
 
-#include "diagnose/workspan.hpp"
 #include "measure/aggregate.hpp"
 #include "profile/region.hpp"
 #include "telemetry/telemetry.hpp"
+#include "trace/analysis.hpp"
 #include "trace/trace.hpp"
 
 namespace taskprof::diag {
@@ -108,6 +108,47 @@ struct DiagnoseOptions {
   double serial_fraction_warn = 0.40;
   double serial_fraction_problem = 0.60;
 };
+
+/// Stable display name for a construct: the registry name when the
+/// handle resolves, "(unattributed)" for kInvalidRegion / out-of-range
+/// handles (tasks recorded without a region — degenerate traces, manual
+/// event streams).
+[[nodiscard]] std::string construct_display_name(RegionHandle region,
+                                                 const RegionRegistry& registry);
+
+/// One construct's share of the critical path.
+struct ConstructSpanShare {
+  RegionHandle region = kInvalidRegion;
+  std::string name;
+  Ticks on_span = 0;       ///< active time this construct contributes
+  int instances = 0;       ///< chain members from this construct
+};
+
+/// Per-task work/span accounting (TASKPROF-style):
+///
+///   work = sum of executed-fragment time over all completed tasks
+///   span = the heaviest creation chain of each parallel region, summed
+///          (trace::TaskForest::creation_chain)
+///
+/// Logical parallelism = work / span bounds the speedup any scheduler
+/// can extract from the task structure; the per-construct span shares
+/// say *which* task construct owns the critical path.
+struct WorkSpanSummary {
+  Ticks work = 0;
+  Ticks span = 0;
+  int span_length = 0;  ///< tasks on the critical chain
+  /// Per-construct critical-path attribution, largest share first.
+  std::vector<ConstructSpanShare> shares;
+
+  [[nodiscard]] double logical_parallelism() const noexcept {
+    return span == 0 ? 0.0
+                     : static_cast<double>(work) / static_cast<double>(span);
+  }
+};
+
+/// Work/span of a finished trace analysis.
+[[nodiscard]] WorkSpanSummary compute_workspan(
+    const trace::TraceAnalysis& analysis, const RegionRegistry& registry);
 
 /// Everything a diagnosis run may consume.  `profile` and `registry` are
 /// required; `trace` unlocks the time-domain detectors and work/span;

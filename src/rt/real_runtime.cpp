@@ -1077,7 +1077,6 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
   rt.single_shards = std::make_unique<SingleShard[]>(kSingleShards);
   rt.barrier.arrived.store(0);
   rt.outstanding.store(0);
-  rt.next_id.store(1);
   rt.dynamic_outstanding.store(0);
   rt.region_divergences.store(0);
   rt.bodies_done.store(0);

@@ -1033,7 +1033,6 @@ TeamStats SimRuntime::parallel(int num_threads, TaskFn body) {
   rt.queue.clear();
   rt.untied_suspended.clear();
   rt.outstanding = 0;
-  rt.next_id = 1;
   rt.barrier_arrived.clear();
   rt.single_claimed.clear();
   rt.lock_sharded =

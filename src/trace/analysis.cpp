@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "common/format.hpp"
@@ -14,10 +13,9 @@ namespace {
 
 /// Per-thread replay state.
 struct ThreadReplay {
-  TaskInstanceId current = kImplicitTaskId;
+  std::uint32_t current = TaskForest::kNoNode;  ///< running explicit task
   Ticks fragment_start = 0;
   Ticks implicit_begin = 0;
-  bool in_implicit = false;
 
   /// Open scheduling-point regions; last_activity tracks the end of the
   /// last executed fragment (or the region entry) for gap classification.
@@ -31,10 +29,15 @@ struct ThreadReplay {
 
 TraceAnalysis analyze_trace(const Trace& trace,
                             const AnalysisOptions& options) {
+  constexpr std::uint32_t kNoNode = TaskForest::kNoNode;
   TraceAnalysis out;
   out.threads.resize(trace.thread_count());
 
-  std::unordered_map<TaskInstanceId, TaskLifetime> lifetimes;
+  // One replay feeds both the forest and the lifetimes, which are
+  // indexed by forest node (implicit nodes get an unused slot).
+  TaskForest::Builder forest(trace);
+  std::vector<TaskLifetime> lifetimes;
+  lifetimes.reserve(forest.node_capacity());
   std::vector<ThreadReplay> replay(trace.thread_count());
 
   auto classify_gap = [&](ThreadId thread, Ticks gap) {
@@ -51,170 +54,144 @@ TraceAnalysis analyze_trace(const Trace& trace,
 
   auto close_fragment = [&](ThreadReplay& state, ThreadId thread,
                             Ticks now) {
-    if (state.current == kImplicitTaskId) return;
+    if (state.current == kNoNode) return;
     const Ticks duration = now - state.fragment_start;
-    TaskLifetime& life = lifetimes[state.current];
-    life.active += duration;
+    lifetimes[state.current].active += duration;
     out.threads[thread].busy += duration;
     out.threads[thread].fragments += 1;
     if (!state.sync_stack.empty()) {
       state.sync_stack.back().last_activity = now;
     }
-    state.current = kImplicitTaskId;
+    state.current = kNoNode;
   };
 
   auto open_fragment = [&](ThreadReplay& state, ThreadId thread,
-                           TaskInstanceId id, Ticks now) {
+                           std::uint32_t node, Ticks now) {
     if (!state.sync_stack.empty()) {
       classify_gap(thread, now - state.sync_stack.back().last_activity);
       state.sync_stack.back().last_activity = now;
     }
-    state.current = id;
+    state.current = node;
     state.fragment_start = now;
-    TaskLifetime& life = lifetimes[id];
+    TaskLifetime& life = lifetimes[node];
     life.fragments += 1;
     if (!life.started) {
       life.started = true;
       life.begin = now;
       life.first_thread = thread;
     }
-    (void)thread;
   };
 
-  // Replay per-thread streams (each is time-ordered by construction).
-  for (ThreadId thread = 0; thread < trace.thread_count(); ++thread) {
+  // Recorded streams are time-ordered, so each thread's events keep
+  // their order in the merged stream: the per-thread replay states
+  // evolve exactly as if every stream were replayed on its own.
+  for (const TraceEvent& event : trace.merged()) {
+    const std::uint32_t node = forest.add(event);
+    if (event.thread >= replay.size()) continue;  // corrupt input
+    if (lifetimes.size() < forest.node_count()) {
+      lifetimes.resize(forest.node_count());
+    }
+    if (node != kNoNode) lifetimes[node].id = event.task;
+    const ThreadId thread = event.thread;
     ThreadReplay& state = replay[thread];
-    for (const TraceEvent& event : trace.thread_events(thread)) {
-      switch (event.kind) {
-        case EventKind::kImplicitBegin:
-          state.implicit_begin = event.time;
-          state.in_implicit = true;
-          break;
-        case EventKind::kImplicitEnd:
-          // Migrated untied tasks leave unmatched sync entries behind
-          // (their taskwait exits on another thread); drop them.
-          state.sync_stack.clear();
-          out.threads[thread].span += event.time - state.implicit_begin;
-          state.in_implicit = false;
-          break;
-        case EventKind::kCreateEnd: {
-          TaskLifetime& life = lifetimes[event.task];
-          life.id = event.task;
-          life.region = event.region;
-          life.parameter = event.parameter;
-          life.creator = thread;
-          life.created = event.time;
-          life.parent = state.current;
-          break;
-        }
-        case EventKind::kTaskBegin:
-          close_fragment(state, thread, event.time);
-          open_fragment(state, thread, event.task, event.time);
-          break;
-        case EventKind::kTaskEnd: {
-          TASKPROF_ASSERT(state.current == event.task,
-                          "trace replay: ending task is not current");
-          close_fragment(state, thread, event.time);
-          TaskLifetime& life = lifetimes[event.task];
-          life.end = event.time;
-          life.completed = true;
-          break;
-        }
-        case EventKind::kTaskSwitch:
-          close_fragment(state, thread, event.time);
-          if (event.task != kImplicitTaskId) {
-            open_fragment(state, thread, event.task, event.time);
-          }
-          break;
-        case EventKind::kMigrate:
-          lifetimes[event.task].migrations += 1;
-          break;
-        case EventKind::kWork:
-          // Declared ctx.work() ticks; attribute to the task the thread
-          // is running.  Implicit-task work has no lifetime to land on.
-          if (state.current != kImplicitTaskId &&
-              event.parameter != kNoParameter) {
-            lifetimes[state.current].work += event.parameter;
-          }
-          break;
-        case EventKind::kTaskwaitBegin:
-        case EventKind::kBarrierBegin:
-          state.sync_stack.push_back(
-              ThreadReplay::SyncFrame{event.time});
-          break;
-        case EventKind::kTaskwaitEnd:
-        case EventKind::kBarrierEnd: {
-          // A migrated untied task's taskwait may end on a different
-          // thread than it began; such unmatched exits are skipped (the
-          // decomposition is exact for tied tasks, approximate across
-          // migrations).
-          if (state.sync_stack.empty()) break;
-          classify_gap(thread,
-                       event.time - state.sync_stack.back().last_activity);
-          state.sync_stack.pop_back();
-          if (!state.sync_stack.empty()) {
-            state.sync_stack.back().last_activity = event.time;
-          }
-          break;
-        }
-        case EventKind::kParallelBegin:
-        case EventKind::kParallelEnd:
-        case EventKind::kCreateBegin:
-        case EventKind::kRegionEnter:
-        case EventKind::kRegionExit:
-        case EventKind::kSchedulerNote:
-          break;
+    switch (event.kind) {
+      case EventKind::kImplicitBegin:
+        state.implicit_begin = event.time;
+        break;
+      case EventKind::kImplicitEnd:
+        // Migrated untied tasks leave unmatched sync entries behind
+        // (their taskwait exits on another thread); drop them.
+        state.sync_stack.clear();
+        out.threads[thread].span += event.time - state.implicit_begin;
+        break;
+      case EventKind::kCreateEnd: {
+        TaskLifetime& life = lifetimes[node];
+        life.region = event.region;
+        life.parameter = event.parameter;
+        life.creator = thread;
+        life.created = event.time;
+        life.parent = state.current == kNoNode
+                          ? kImplicitTaskId
+                          : lifetimes[state.current].id;
+        break;
       }
+      case EventKind::kTaskBegin:
+        close_fragment(state, thread, event.time);
+        open_fragment(state, thread, node, event.time);
+        break;
+      case EventKind::kTaskEnd: {
+        TASKPROF_ASSERT(state.current == node,
+                        "trace replay: ending task is not current");
+        if (node == kNoNode) break;
+        close_fragment(state, thread, event.time);
+        lifetimes[node].end = event.time;
+        lifetimes[node].completed = true;
+        break;
+      }
+      case EventKind::kTaskSwitch:
+        close_fragment(state, thread, event.time);
+        if (node != kNoNode) open_fragment(state, thread, node, event.time);
+        break;
+      case EventKind::kMigrate:
+        if (node != kNoNode) lifetimes[node].migrations += 1;
+        break;
+      case EventKind::kWork:
+        // Declared ctx.work() ticks; attribute to the task the thread
+        // is running.  Implicit-task work has no lifetime to land on.
+        if (state.current != kNoNode && event.parameter != kNoParameter) {
+          lifetimes[state.current].work += event.parameter;
+        }
+        break;
+      case EventKind::kTaskwaitBegin:
+      case EventKind::kBarrierBegin:
+        state.sync_stack.push_back(ThreadReplay::SyncFrame{event.time});
+        break;
+      case EventKind::kTaskwaitEnd:
+      case EventKind::kBarrierEnd: {
+        // A migrated untied task's taskwait may end on a different
+        // thread than it began; such unmatched exits are skipped (the
+        // decomposition is exact for tied tasks, approximate across
+        // migrations).
+        if (state.sync_stack.empty()) break;
+        classify_gap(thread,
+                     event.time - state.sync_stack.back().last_activity);
+        state.sync_stack.pop_back();
+        if (!state.sync_stack.empty()) {
+          state.sync_stack.back().last_activity = event.time;
+        }
+        break;
+      }
+      case EventKind::kParallelBegin:
+      case EventKind::kParallelEnd:
+      case EventKind::kCreateBegin:
+      case EventKind::kRegionEnter:
+      case EventKind::kRegionExit:
+      case EventKind::kSchedulerNote:
+        break;
     }
   }
+  out.forest = forest.finish();
 
-  // Collect lifetimes and aggregates.
-  for (auto& [id, life] : lifetimes) {
-    if (!life.completed) continue;
+  // Keep the completed lifetimes, in begin order.
+  std::erase_if(lifetimes,
+                [](const TaskLifetime& life) { return !life.completed; });
+  std::sort(lifetimes.begin(), lifetimes.end(),
+            [](const TaskLifetime& a, const TaskLifetime& b) {
+              if (a.begin != b.begin) return a.begin < b.begin;
+              return a.id < b.id;
+            });
+  for (const TaskLifetime& life : lifetimes) {
     out.total_active += life.active;
     if (life.created != 0 || life.begin >= life.created) {
       out.queue_latency.add(life.begin - life.created);
     }
     out.instance_fragments.add(life.fragments);
-    out.tasks.push_back(life);
   }
-  std::sort(out.tasks.begin(), out.tasks.end(),
-            [](const TaskLifetime& a, const TaskLifetime& b) {
-              return a.begin < b.begin;
-            });
+  out.tasks = std::move(lifetimes);
 
-  // Longest dependency chain over the creation tree.
-  std::unordered_map<TaskInstanceId, std::vector<const TaskLifetime*>>
-      children;
-  for (const TaskLifetime& life : out.tasks) {
-    children[life.parent].push_back(&life);
-  }
-  struct ChainResult {
-    Ticks time = 0;
-    int length = 0;
-  };
-  // Iterative post-order over the forest rooted at implicit creations.
-  std::unordered_map<TaskInstanceId, ChainResult> memo;
-  auto chain_of = [&](const TaskLifetime& life, auto&& self) -> ChainResult {
-    if (auto it = memo.find(life.id); it != memo.end()) return it->second;
-    ChainResult best;
-    if (auto it = children.find(life.id); it != children.end()) {
-      for (const TaskLifetime* child : it->second) {
-        const ChainResult sub = self(*child, self);
-        if (sub.time > best.time) best = sub;
-      }
-    }
-    const ChainResult result{life.active + best.time, 1 + best.length};
-    memo.emplace(life.id, result);
-    return result;
-  };
-  for (const TaskLifetime& life : out.tasks) {
-    const ChainResult chain = chain_of(life, chain_of);
-    if (chain.time > out.critical_chain_time) {
-      out.critical_chain_time = chain.time;
-      out.critical_chain_length = chain.length;
-    }
-  }
+  const TaskForest::Chain chain = out.forest.creation_chain();
+  out.critical_chain_time = chain.time;
+  out.critical_chain_length = chain.length;
   return out;
 }
 

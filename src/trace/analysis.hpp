@@ -23,6 +23,7 @@
 
 #include "profile/metrics.hpp"
 #include "profile/region.hpp"
+#include "trace/forest.hpp"
 #include "trace/trace.hpp"
 
 namespace taskprof::trace {
@@ -31,18 +32,18 @@ namespace taskprof::trace {
 struct TaskLifetime {
   TaskInstanceId id = 0;
   RegionHandle region = kInvalidRegion;
+  ThreadId creator = 0;
   std::int64_t parameter = kNoParameter;
   /// Creating instance (kImplicitTaskId when created by an implicit task).
   TaskInstanceId parent = kImplicitTaskId;
-  ThreadId creator = 0;
   Ticks created = 0;  ///< create_end timestamp
-  ThreadId first_thread = 0;
   Ticks begin = 0;    ///< first fragment start
   Ticks end = 0;      ///< completion
   Ticks active = 0;   ///< sum of executed-fragment durations
   /// Declared ctx.work() ticks executed by this task (kWork events;
   /// 0 for traces from engines that do not emit them).
   Ticks work = 0;
+  ThreadId first_thread = 0;
   int fragments = 0;
   int migrations = 0;
   bool started = false;
@@ -92,7 +93,10 @@ struct TraceAnalysis {
                                    static_cast<double>(total_active);
   }
 
-  // Longest dependency chain (creation tree), by active time.
+  /// The task structure the chain below (and diagnose, whatif) query.
+  TaskForest forest;
+  // Longest dependency chain (creation tree), by active time, summed
+  // over parallel regions (TaskForest::creation_chain).
   Ticks critical_chain_time = 0;
   int critical_chain_length = 0;  ///< instances on the chain
 };

@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 
+#include "diagnose/diagnose.hpp"
+
 namespace taskprof::whatif {
 
 const char* error_code_name(ErrorCode code) noexcept {
@@ -67,7 +69,7 @@ Ticks WhatIfProfile::scalable_of(const trace::TaskLifetime& life) const {
   return work_basis_ ? life.work : life.active;
 }
 
-Error WhatIfProfile::build(const trace::Trace& trace,
+Error WhatIfProfile::build(const trace::Trace& /*trace*/,
                            const trace::TraceAnalysis& analysis,
                            const RegionRegistry& registry,
                            WhatIfProfile* out) {
@@ -76,7 +78,6 @@ Error WhatIfProfile::build(const trace::Trace& trace,
             "trace contains no completed explicit tasks to project over"};
   }
   out->analysis_ = &analysis;
-  out->sync_ = SyncForest::build(trace);
   out->measured_threads_ =
       std::max<int>(1, static_cast<int>(analysis.threads.size()));
   out->work_basis_ = std::any_of(
@@ -89,7 +90,7 @@ Error WhatIfProfile::build(const trace::Trace& trace,
 
   // Aggregate per (region, parameter), deterministically ordered.
   std::map<std::pair<RegionHandle, std::int64_t>, CallPathStats> by_path;
-  out->work_ = out->sync_.implicit_active();
+  out->work_ = analysis.forest.implicit_active();
   for (const trace::TaskLifetime& life : analysis.tasks) {
     out->work_ += life.active;
     CallPathStats& stats = by_path[{life.region, life.parameter}];
@@ -101,9 +102,10 @@ Error WhatIfProfile::build(const trace::Trace& trace,
     stats.scalable += out->scalable_of(life);
   }
 
-  const SyncForest::Evaluation base = out->sync_.evaluate(
-      [&](const SyncForest::PathKey&, const SyncForest::Segment& segment) {
-        return SyncForest::SegmentCost{
+  const trace::TaskForest::Evaluation base = analysis.forest.evaluate(
+      [&](const trace::TaskForest::PathKey&,
+          const trace::TaskForest::Segment& segment) {
+        return trace::TaskForest::SegmentCost{
             static_cast<double>(segment.active),
             static_cast<double>(out->work_basis_ ? segment.work
                                                  : segment.active)};
@@ -204,14 +206,14 @@ Projection WhatIfProfile::project(
   }
   out.work_after = work_ - static_cast<Ticks>(saved_work + 0.5);
 
-  const SyncForest::Evaluation scaled = sync_.evaluate(
-      [&](const SyncForest::PathKey& key,
-          const SyncForest::Segment& segment) {
+  const trace::TaskForest::Evaluation scaled = analysis_->forest.evaluate(
+      [&](const trace::TaskForest::PathKey& key,
+          const trace::TaskForest::Segment& segment) {
         const double basis = static_cast<double>(
             work_basis_ ? segment.work : segment.active);
         double duration = static_cast<double>(segment.active);
         if (target_keys.count(key) != 0) duration -= fraction * basis;
-        return SyncForest::SegmentCost{duration, basis};
+        return trace::TaskForest::SegmentCost{duration, basis};
       },
       overhead_per_task_);
   out.span_after = static_cast<Ticks>(std::llround(scaled.span));

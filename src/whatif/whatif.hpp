@@ -4,7 +4,7 @@
 // TASKPROF (Yoga & Nagarakatte, PAPERS.md) popularized answering this
 // from work/span accounting instead of guesswork: per call path, subtract
 // the hypothesized saving from total work (T1) and re-evaluate the
-// sync-aware series-parallel span (span.hpp — taskwait phasing and
+// sync-aware series-parallel span (trace/forest.hpp — taskwait phasing and
 // creation serialization included) with scaled per-segment durations to
 // get the new span (T∞'), then estimate wall-clock at P threads with the
 // Graham/Brent two-term bound
@@ -14,11 +14,11 @@
 // T1 and T∞ are overhead-augmented: measured task-management time (the
 // trace analysis' short scheduling-point gaps) is added to T1 whole and
 // enters T∞ as a per-task dispatch cost *inside* the max-plus span
-// evaluation (span.hpp), so the critical chain itself accounts for it —
-// a hypothesis shrinks task bodies, never the dispatch cost around them,
-// and that floor binds as bodies shrink.  The projected speedup at P is
-// T_est(P) / T_est'(P).  Four
-// invariants follow (tests/test_whatif_property.cpp fuzzes them):
+// evaluation (trace/forest.hpp), so the critical chain itself accounts
+// for it — a hypothesis shrinks task bodies, never the dispatch cost
+// around them, and that floor binds as bodies shrink.  The projected
+// speedup at P is T_est(P) / T_est'(P).  Four invariants follow
+// (tests/test_whatif_property.cpp fuzzes them):
 //
 //   1. speedup ∈ [1, 1/(1 - share·N)] where share = max(scalable
 //      work share of T1, scalable span share of T∞) — the Amdahl-style
@@ -43,10 +43,8 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "diagnose/workspan.hpp"
 #include "profile/region.hpp"
 #include "trace/analysis.hpp"
-#include "whatif/span.hpp"
 
 namespace taskprof::whatif {
 
@@ -123,8 +121,8 @@ struct Projection {
 };
 
 /// Per-call-path work/span profile over a recorded trace, ready for
-/// repeated what-if queries.  Holds pointers into `analysis`, which must
-/// outlive the profile.
+/// repeated what-if queries.  Holds a pointer to `analysis` and queries
+/// its task forest, so the analysis must outlive the profile.
 class WhatIfProfile {
  public:
   /// Fails with kEmptyProfile when the trace has no completed tasks.
@@ -180,7 +178,6 @@ class WhatIfProfile {
 
  private:
   const trace::TraceAnalysis* analysis_ = nullptr;
-  SyncForest sync_;
   std::vector<CallPathStats> paths_;
   Ticks work_ = 0;
   Ticks span_ = 0;

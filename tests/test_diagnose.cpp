@@ -1,8 +1,7 @@
 // The diagnosis engine: every seeded anti-pattern shape must be flagged
 // by its detector (at problem severity, pointing at the offending
-// construct), the clean shape must stay finding-free, and the work/span
-// accounting must agree with the trace analyzer's independent
-// critical-chain computation.
+// construct), the clean shape must stay finding-free, and work/span
+// must add up over a trace of several parallel regions.
 #include "diagnose/diagnose.hpp"
 
 #include <gtest/gtest.h>
@@ -81,49 +80,61 @@ TEST(Diagnose, FindingsAreRankedBySeverityThenScore) {
   }
 }
 
-// Work/span must agree with the trace analyzer's independently computed
-// critical chain — same definition, separate implementations.
-TEST(Diagnose, FibWorkSpanMatchesTraceCriticalChainWithin10Percent) {
+/// fib at test size, `regions` times on one runtime, fully recorded.
+struct FibRun {
   RegionRegistry registry;
+  AggregateProfile profile;
+  trace::Trace trace;
+};
+
+std::unique_ptr<FibRun> record_fib(int regions) {
+  auto out = std::make_unique<FibRun>();
   rt::SimRuntime runtime;
-  Instrumentor instrumentor(registry, MeasureOptions{});
+  Instrumentor instrumentor(out->registry, MeasureOptions{});
   trace::TraceRecorder recorder;
   rt::FanoutHooks fanout;
   fanout.add(&instrumentor);
   fanout.add(&recorder);
   runtime.set_hooks(&fanout);
   auto kernel = bots::make_kernel("fib");
-  ASSERT_NE(kernel, nullptr);
   bots::KernelConfig config;
   config.threads = 4;
   config.size = bots::SizeClass::kTest;
-  const bots::KernelResult result = kernel->run(runtime, registry, config);
-  ASSERT_TRUE(result.ok) << result.check;
+  for (int r = 0; r < regions; ++r) {
+    const bots::KernelResult result =
+        kernel->run(runtime, out->registry, config);
+    EXPECT_TRUE(result.ok) << result.check;
+  }
   runtime.set_hooks(nullptr);
   instrumentor.finalize();
+  out->profile = instrumentor.aggregate();
+  out->trace = recorder.take();
+  return out;
+}
 
-  const trace::Trace recorded = recorder.take();
-  const trace::TraceAnalysis analysis = trace::analyze_trace(recorded);
-  const diag::WorkSpanSummary ws =
-      diag::compute_workspan(analysis, registry);
-
-  ASSERT_GT(ws.span, 0);
-  ASSERT_GT(analysis.critical_chain_time, 0);
-  const double span_ratio = static_cast<double>(ws.span) /
-                            static_cast<double>(analysis.critical_chain_time);
-  EXPECT_GT(span_ratio, 0.9);
-  EXPECT_LT(span_ratio, 1.1);
-  EXPECT_EQ(ws.span_length, analysis.critical_chain_length);
-
-  const double parallelism = ws.logical_parallelism();
-  const double trace_estimate =
-      static_cast<double>(analysis.total_active) /
-      static_cast<double>(analysis.critical_chain_time);
-  EXPECT_GT(parallelism / trace_estimate, 0.9);
-  EXPECT_LT(parallelism / trace_estimate, 1.1);
-
-  // The span is a real root-to-leaf creation chain.
-  EXPECT_EQ(static_cast<int>(ws.span_tasks.size()), ws.span_length);
+// Regions run one after another: three fib regions are three times the
+// work and three times the span, so logical parallelism stays put.
+TEST(Diagnose, RepeatedRegionsTripleWorkAndKeepParallelism) {
+  const auto once = record_fib(1);
+  const auto thrice = record_fib(3);
+  diag::DiagnosisInput input;
+  input.registry = &once->registry;
+  input.profile = &once->profile;
+  input.trace = &once->trace;
+  const diag::DiagnosisReport one = diag::run_diagnosis(input);
+  input.registry = &thrice->registry;
+  input.profile = &thrice->profile;
+  input.trace = &thrice->trace;
+  const diag::DiagnosisReport three = diag::run_diagnosis(input);
+  ASSERT_TRUE(one.has_workspan);
+  ASSERT_TRUE(three.has_workspan);
+  EXPECT_NEAR(static_cast<double>(three.workspan.work),
+              3.0 * static_cast<double>(one.workspan.work),
+              0.01 * static_cast<double>(three.workspan.work));
+  EXPECT_NEAR(three.workspan.logical_parallelism(),
+              one.workspan.logical_parallelism(),
+              0.01 * one.workspan.logical_parallelism());
+  EXPECT_EQ(three.workspan.span_length, 3 * one.workspan.span_length);
 }
 
 TEST(Diagnose, ReplayFallbackDetectorReadsTelemetryReasons) {

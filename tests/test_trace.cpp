@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "bots/kernel.hpp"
 #include "instrument/instrumentor.hpp"
 #include "rt/sim_runtime.hpp"
 
@@ -216,6 +217,33 @@ TEST_F(TraceTest, ChainLengthEstimatesConcurrentInstances) {
   EXPECT_LE(profile.max_concurrent_any_thread,
             static_cast<std::size_t>(analysis.critical_chain_length));
   EXPECT_GE(profile.max_concurrent_any_thread, 4u);
+}
+
+TEST_F(TraceTest, RepeatedRegionsKeepTheirTasksApart) {
+  // fib three times on one runtime: task ids are unique per runtime, so
+  // every task of every region is its own lifetime.
+  rt::SimRuntime sim;
+  RegionRegistry registry;
+  TraceRecorder recorder;
+  sim.set_hooks(&recorder);
+  auto kernel = bots::make_kernel("fib");
+  bots::KernelConfig config;
+  config.threads = 4;
+  config.size = bots::SizeClass::kTest;
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_TRUE(kernel->run(sim, registry, config).ok);
+  }
+  sim.set_hooks(nullptr);
+  const Trace trace = recorder.take();
+
+  std::size_t begins = 0;
+  for (const TraceEvent& event : trace.merged()) {
+    if (event.kind == EventKind::kTaskBegin) ++begins;
+  }
+  const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
+  EXPECT_EQ(analysis.tasks.size(), begins);
+  // Plus one implicit task per thread and region.
+  EXPECT_EQ(analysis.forest.nodes().size(), begins + 3 * 4);
 }
 
 TEST_F(TraceTest, BusyTimeMatchesProfilerStubTime) {

@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "bots/kernel.hpp"
 #include "check/random_tree.hpp"
 #include "rt/sim_runtime.hpp"
 #include "trace/analysis.hpp"
@@ -173,6 +174,34 @@ TEST(WhatIfProfile, ResolveUnknownPathListsKnownOnes) {
   EXPECT_EQ(error.code, whatif::ErrorCode::kUnknownPath);
   EXPECT_NE(error.message.find("uniform_task"), std::string::npos)
       << "the error should list the profiled paths: " << error.message;
+}
+
+TEST(WhatIfProfile, RepeatedRegionsGiveABoundedSpan) {
+  // fib three times on one runtime: every task has one creator (ids are
+  // unique per runtime), and regions run one after another, so their
+  // spans add up to a bounded total.
+  auto built = std::make_unique<Built>();
+  rt::SimRuntime sim;
+  trace::TraceRecorder recorder;
+  sim.set_hooks(&recorder);
+  auto kernel = bots::make_kernel("fib");
+  bots::KernelConfig config;
+  config.threads = 4;
+  config.size = bots::SizeClass::kTest;
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_TRUE(kernel->run(sim, built->registry, config).ok);
+  }
+  sim.set_hooks(nullptr);
+  built->trace = recorder.take();
+  built->analysis = trace::analyze_trace(built->trace);
+  built->error = whatif::WhatIfProfile::build(
+      built->trace, built->analysis, built->registry, &built->profile);
+  ASSERT_TRUE(built->error.ok()) << built->error.message;
+  EXPECT_GT(built->profile.span(), 0);
+  EXPECT_LE(built->profile.span(), built->profile.work());
+  EXPECT_GT(built->profile.span_length(), 0);
+  EXPECT_LE(static_cast<std::size_t>(built->profile.span_length()),
+            built->analysis.tasks.size());
 }
 
 // -- Projection math --------------------------------------------------------
