@@ -8,11 +8,16 @@
 //    tick counter.
 //
 // Clock is deliberately a tiny interface: one call, no state visible to the
-// caller.  ManualClock exists for deterministic unit tests that replay the
-// event streams of the paper's figures with hand-picked timestamps.
+// caller.  EventClock is the real engine's per-worker clock: one wall-clock
+// read per scheduler event, shared by every listener of that event (the
+// simulator's per-worker virtual clocks have the same property by
+// construction).  ManualClock exists for deterministic unit tests that
+// replay the event streams of the paper's figures with hand-picked
+// timestamps.
 #pragma once
 
 #include <chrono>
+#include <limits>
 
 #include "common/types.hpp"
 
@@ -34,11 +39,39 @@ class Clock {
 /// Wall-clock time via std::chrono::steady_clock.  Thread-safe.
 class SteadyClock final : public Clock {
  public:
-  [[nodiscard]] Ticks now() const noexcept override {
+  [[nodiscard]] Ticks now() const noexcept override { return read(); }
+
+  [[nodiscard]] static Ticks read() noexcept {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
   }
+};
+
+/// The time of the scheduler event being dispatched on one worker.  The
+/// engine calls mark() before each event it dispatches on the worker's
+/// thread; the first now() after it reads std::chrono::steady_clock and
+/// latches the value, and every later now() of the same event returns
+/// the latch.  So all listeners of one event see one timestamp, and a
+/// listener that never asks for the time costs no read.  Between events
+/// now() keeps returning the last event's time.
+///
+/// Single-owner: mark() and now() run on the owning worker's thread, or
+/// on another thread once the worker has been joined.  Aligned to its
+/// own cache line because it is written on every hooked event.
+class alignas(64) EventClock final : public Clock {
+ public:
+  /// A new event starts: the next now() reads the wall clock.
+  void mark() noexcept { stamp_ = kUnread; }
+
+  [[nodiscard]] Ticks now() const noexcept override {
+    if (stamp_ == kUnread) stamp_ = SteadyClock::read();
+    return stamp_;
+  }
+
+ private:
+  static constexpr Ticks kUnread = std::numeric_limits<Ticks>::min();
+  mutable Ticks stamp_ = kUnread;
 };
 
 /// Hand-driven clock for tests.  Not thread-safe.

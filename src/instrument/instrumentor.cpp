@@ -21,6 +21,7 @@ void Instrumentor::on_parallel_begin(int num_threads) {
   if (profilers_.size() < static_cast<std::size_t>(num_threads)) {
     std::scoped_lock lock(profilers_mutex_);
     profilers_.resize(static_cast<std::size_t>(num_threads));
+    create_cache_.resize(static_cast<std::size_t>(num_threads));
   }
 }
 
@@ -42,7 +43,7 @@ void Instrumentor::on_task_create_begin(ThreadId thread, RegionHandle region,
                                         std::int64_t parameter) {
   ThreadTaskProfiler* prof = profiler(thread);
   TASKPROF_ASSERT(prof != nullptr, "event on unknown thread");
-  prof->enter(create_region_for(region), parameter);
+  prof->enter(cached_create_region(thread, region), parameter);
 }
 
 void Instrumentor::on_task_create_end(ThreadId thread, TaskInstanceId created,
@@ -52,7 +53,7 @@ void Instrumentor::on_task_create_end(ThreadId thread, TaskInstanceId created,
   ThreadTaskProfiler* prof = profiler(thread);
   TASKPROF_ASSERT(prof != nullptr, "event on unknown thread");
   prof->note_task_created(created);
-  prof->exit(create_region_for(region));
+  prof->exit(cached_create_region(thread, region));
 }
 
 void Instrumentor::on_task_begin(ThreadId thread, TaskInstanceId id,
@@ -210,6 +211,22 @@ RegionHandle Instrumentor::create_region_for(RegionHandle task_region) {
   const RegionHandle handle = registry_->register_region(
       "create " + info.name, RegionType::kTaskCreate);
   create_regions_.emplace(task_region, handle);
+  return handle;
+}
+
+RegionHandle Instrumentor::cached_create_region(ThreadId thread,
+                                               RegionHandle task_region) {
+  std::vector<RegionHandle>& table = create_cache_[thread];
+  if (task_region < table.size() && table[task_region] != kInvalidRegion) {
+    return table[task_region];
+  }
+  // Miss: the shared map (under create_map_mutex_) also validates the
+  // handle, so the resize below never sees kInvalidRegion.
+  const RegionHandle handle = create_region_for(task_region);
+  if (table.size() <= task_region) {
+    table.resize(std::size_t{task_region} + 1, kInvalidRegion);
+  }
+  table[task_region] = handle;
   return handle;
 }
 

@@ -75,8 +75,10 @@ class Instrumentor final : public rt::SchedulerHooks {
 
   // --- Results --------------------------------------------------------------
 
-  /// Close the implicit roots of all thread profilers.  Call after the
-  /// last parallel region, while the engine's clocks are still valid.
+  /// Close the implicit roots of all thread profilers, each at its
+  /// thread's last event on the real engine (ThreadTaskProfiler::
+  /// finalize).  Call after the last parallel region, while the engine
+  /// (which owns the clocks) is still alive.
   void finalize();
 
   /// Per-thread profile views (valid while the instrumentor lives).
@@ -139,6 +141,9 @@ class Instrumentor final : public rt::SchedulerHooks {
 
  private:
   ThreadTaskProfiler& profiler_for(ThreadId thread, const Clock& clock);
+  /// create_region_for through `thread`'s own table: lock-free after the
+  /// thread's first creation of each construct.
+  RegionHandle cached_create_region(ThreadId thread, RegionHandle task_region);
 
   RegionRegistry* registry_;
   MeasureOptions options_;
@@ -160,6 +165,11 @@ class Instrumentor final : public rt::SchedulerHooks {
 
   mutable std::mutex create_map_mutex_;
   std::unordered_map<RegionHandle, RegionHandle> create_regions_;
+  // Per-thread copies of create_regions_, indexed by ThreadId and then by
+  // task-construct handle (kInvalidRegion = not looked up yet).  Sized
+  // with profilers_; each worker reads and fills only its own table, so
+  // the task-creation events take no lock once a construct is cached.
+  std::vector<std::vector<RegionHandle>> create_cache_;
 
   // Filtered user regions (read-only during measurement).
   std::vector<bool> filtered_;

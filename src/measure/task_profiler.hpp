@@ -244,8 +244,12 @@ class ThreadTaskProfiler {
   // --- Results ------------------------------------------------------------
 
   /// Close the remaining open implicit frames (normally just the implicit
-  /// root) with the current time.  Call once, after all parallel work is
-  /// done; required before the implicit root's inclusive time is valid.
+  /// root) at the clock's current reading.  On the real engine that is
+  /// the thread's last event (its EventClock keeps the last latched
+  /// stamp), so the root spans first to last event of the thread, not
+  /// up to the finalize() call; the simulator's clock reads the worker's
+  /// virtual time.  Call once, after all parallel work is done; required
+  /// before the implicit root's inclusive time is valid.
   void finalize();
 
   [[nodiscard]] ThreadProfileView view() const;

@@ -197,9 +197,10 @@ std::string render_csv(const AggregateProfile& profile,
     render_csv_tree(out, *profile.implicit_root, registry, "main");
   }
   for (const CallNode* root : profile.task_roots) {
-    std::string tree = "task:" + registry.info(root->region).name;
+    std::string tree = "task:";
+    tree.append(registry.info(root->region).name);
     if (root->parameter != kNoParameter) {
-      tree += "[" + std::to_string(root->parameter) + "]";
+      tree.append("[").append(std::to_string(root->parameter)).append("]");
     }
     render_csv_tree(out, *root, registry, tree);
   }

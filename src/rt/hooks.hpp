@@ -73,8 +73,14 @@ class SchedulerHooks {
   /// The parallel region completed (after the final implicit barrier).
   virtual void on_parallel_end() {}
 
-  /// Thread `thread` starts its implicit task.  `clock` reads this
-  /// thread's time source and stays valid until on_implicit_task_end.
+  /// Thread `thread` starts its implicit task.  `clock` reads the time of
+  /// the event being dispatched on this thread: every listener of one
+  /// event sees one timestamp (the real engine's EventClock latches its
+  /// first read per event; the simulator's clocks are the worker's
+  /// virtual time).  Read it only from inside events on `thread`, or once
+  /// the thread has been joined: then it returns the thread's last event
+  /// time.  It stays valid at least until on_implicit_task_end; the real
+  /// engine's clock stays valid for the engine's lifetime, across regions.
   virtual void on_implicit_task_begin(ThreadId thread, const Clock& clock) {
     (void)thread;
     (void)clock;

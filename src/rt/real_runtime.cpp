@@ -215,7 +215,14 @@ struct RealRuntime::Impl {
   RealConfig config;
   SchedulerHooks* hooks = nullptr;
   telemetry::Registry* telemetry = nullptr;
+  /// Region timing and taskgraph duration estimates.
   SteadyClock clock;
+  /// One event clock per worker id ever used, handed to the listeners in
+  /// on_implicit_task_begin.  Owned here, not by the per-region
+  /// ThreadState, because listeners keep the pointer until they finalize
+  /// (after the last region, possibly a smaller team).  Grown, never
+  /// shrunk; unique_ptr keeps each clock's address stable.
+  std::vector<std::unique_ptr<EventClock>> event_clocks;
 
   // --- team state (valid during one parallel region) --------------------
   int nthreads = 0;
@@ -270,6 +277,9 @@ struct RealRuntime::Impl {
   // --- per-thread state --------------------------------------------------
   struct ThreadState {
     ThreadId tid = 0;
+    /// This worker's entry of Impl::event_clocks; marked before every
+    /// hook dispatched on this thread.
+    EventClock* clock = nullptr;
     TaskRecord implicit_record;
     RecordSlab slab;
     std::vector<TaskRecord*> task_stack;  // bottom = &implicit_record
@@ -355,7 +365,10 @@ struct RealRuntime::Impl {
     st.telem.add(telemetry::Counter::kTaskgraphDivergences);
     st.telem.add(divergence_counter(note));
     remember_fallback_reason(note);
-    if (hooks != nullptr) hooks->on_scheduler_note(st.tid, note, detail);
+    if (hooks != nullptr) {
+      st.clock->mark();
+      hooks->on_scheduler_note(st.tid, note, detail);
+    }
   }
 
   void enqueue(ThreadState& st, TaskRecord* rec) {
@@ -675,6 +688,7 @@ struct RealRuntime::Impl {
 
   void execute(ThreadState& st, TaskContext& ctx, TaskRecord* rec) {
     if (hooks != nullptr) {
+      st.clock->mark();
       hooks->on_task_begin(st.tid, rec->id, rec->attrs.region,
                            rec->attrs.parameter);
     }
@@ -707,7 +721,10 @@ struct RealRuntime::Impl {
               rec->graph_node);
       replay.cancel_children_from(rec->graph_node, rec->replay_ordinal);
     }
-    if (hooks != nullptr) hooks->on_task_end(st.tid, rec->id);
+    if (hooks != nullptr) {
+      st.clock->mark();
+      hooks->on_task_end(st.tid, rec->id);
+    }
     // parent == nullptr only for detached root replay spawns (see
     // replay_spawn): no child accounting to settle.
     TaskRecord* parent = rec->parent;
@@ -738,6 +755,7 @@ struct RealRuntime::Impl {
     // returning to the implicit task is implied by on_task_end.
     TaskRecord* enclosing = st.task_stack.back();
     if (hooks != nullptr && enclosing != &st.implicit_record) {
+      st.clock->mark();
       hooks->on_task_switch(st.tid, enclosing->id);
     }
   }
@@ -754,6 +772,7 @@ class RealContext final : public TaskContext {
   void create_task(TaskFn fn, TaskAttrs attrs) override {
     SchedulerHooks* hooks = rt_.hooks;
     if (hooks != nullptr) {
+      st_.clock->mark();
       hooks->on_task_create_begin(st_.tid, attrs.region, attrs.parameter);
     }
     const TaskInstanceId id = rt_.next_instance_id(st_);
@@ -769,6 +788,7 @@ class RealContext final : public TaskContext {
         rt_.graph_mode == RealRuntime::Impl::GraphMode::kReplay &&
         replay_spawn(fn, attrs, id)) {
       if (hooks != nullptr) {
+        st_.clock->mark();
         hooks->on_task_create_end(st_.tid, id, attrs.region, attrs.parameter);
       }
       return;
@@ -797,6 +817,7 @@ class RealContext final : public TaskContext {
       rec->deferred = false;
       rt_.execute(st_, *this, rec);
       if (hooks != nullptr) {
+        st_.clock->mark();
         hooks->on_task_create_end(st_.tid, id, attrs.region, attrs.parameter);
       }
       return;
@@ -817,13 +838,17 @@ class RealContext final : public TaskContext {
     rt_.outstanding.fetch_add(1, std::memory_order_relaxed);
     rt_.enqueue(st_, rec);
     if (hooks != nullptr) {
+      st_.clock->mark();
       hooks->on_task_create_end(st_.tid, id, attrs.region, attrs.parameter);
     }
   }
 
   void taskwait() override {
     SchedulerHooks* hooks = rt_.hooks;
-    if (hooks != nullptr) hooks->on_taskwait_begin(st_.tid);
+    if (hooks != nullptr) {
+      st_.clock->mark();
+      hooks->on_taskwait_begin(st_.tid);
+    }
     st_.telem.add(telemetry::Counter::kTaskwaitEntries);
     rt_.perturb(st_, SchedulePoint::kTaskwait);
     TaskRecord* current = st_.task_stack.back();
@@ -844,7 +869,10 @@ class RealContext final : public TaskContext {
         std::this_thread::yield();
       }
     }
-    if (hooks != nullptr) hooks->on_taskwait_end(st_.tid);
+    if (hooks != nullptr) {
+      st_.clock->mark();
+      hooks->on_taskwait_end(st_.tid);
+    }
   }
 
   void barrier() override { barrier_impl(/*implicit=*/false); }
@@ -853,7 +881,10 @@ class RealContext final : public TaskContext {
     TASKPROF_ASSERT(st_.task_stack.back() == &st_.implicit_record,
                     "barrier must be called from the implicit task");
     SchedulerHooks* hooks = rt_.hooks;
-    if (hooks != nullptr) hooks->on_barrier_begin(st_.tid, implicit);
+    if (hooks != nullptr) {
+      st_.clock->mark();
+      hooks->on_barrier_begin(st_.tid, implicit);
+    }
     st_.telem.add(telemetry::Counter::kBarrierEntries);
     rt_.perturb(st_, SchedulePoint::kBarrier);
     const std::uint64_t generation = ++st_.barrier_counter;
@@ -909,7 +940,10 @@ class RealContext final : public TaskContext {
         }
       }
     }
-    if (hooks != nullptr) hooks->on_barrier_end(st_.tid, implicit);
+    if (hooks != nullptr) {
+      st_.clock->mark();
+      hooks->on_barrier_end(st_.tid, implicit);
+    }
   }
 
   bool single() override {
@@ -942,12 +976,14 @@ class RealContext final : public TaskContext {
 
   void region_enter(RegionHandle region, std::int64_t parameter) override {
     if (SchedulerHooks* hooks = rt_.hooks) {
+      st_.clock->mark();
       hooks->on_region_enter(st_.tid, region, parameter);
     }
   }
 
   void region_exit(RegionHandle region) override {
     if (SchedulerHooks* hooks = rt_.hooks) {
+      st_.clock->mark();
       hooks->on_region_exit(st_.tid, region);
     }
   }
@@ -1145,10 +1181,14 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
     }
     rt.hier_steal = populated > 1;
   }
+  while (rt.event_clocks.size() < static_cast<std::size_t>(num_threads)) {
+    rt.event_clocks.push_back(std::make_unique<EventClock>());
+  }
   for (int i = 0; i < num_threads; ++i) {
     rt.queues.push_back(std::make_unique<WorkerQueue>());
     auto st = std::make_unique<Impl::ThreadState>();
     st->tid = static_cast<ThreadId>(i);
+    st->clock = rt.event_clocks[static_cast<std::size_t>(i)].get();
     st->implicit_record.id = kImplicitTaskId;
     st->implicit_record.graph_node = kGraphRoot;
     if (rt.config.policy != nullptr) {
@@ -1194,11 +1234,15 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
     Impl::ThreadState& st = *rt.threads[tid];
     st.task_stack.push_back(&st.implicit_record);
     RealContext ctx(rt, st);
-    if (rt.hooks != nullptr) rt.hooks->on_implicit_task_begin(tid, rt.clock);
+    if (rt.hooks != nullptr) {
+      st.clock->mark();
+      rt.hooks->on_implicit_task_begin(tid, *st.clock);
+    }
     if (tid == 0 && rt.graph_mode == Impl::GraphMode::kFallback &&
         rt.hooks != nullptr) {
       // Announce *why* this region runs dynamically on a recorded graph:
       // detail carries the original divergence cause.
+      st.clock->mark();
       rt.hooks->on_scheduler_note(
           0, SchedulerNote::kTaskgraphFallbackStale,
           rt.fallback_reason.load(std::memory_order_relaxed));
@@ -1238,7 +1282,10 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
       }
     }
     ctx.barrier_impl(/*implicit=*/true);
-    if (rt.hooks != nullptr) rt.hooks->on_implicit_task_end(tid);
+    if (rt.hooks != nullptr) {
+      st.clock->mark();
+      rt.hooks->on_implicit_task_end(tid);
+    }
   };
 
   std::vector<std::thread> extra;
@@ -1285,7 +1332,8 @@ TeamStats RealRuntime::parallel(int num_threads, TaskFn body) {
       rt.remember_fallback_reason(SchedulerNote::kTaskgraphDivergeResidue);
       if (rt.hooks != nullptr) {
         // Post-join, so this fires on the master's track; worker 0's
-        // recorder clock is still bound.
+        // event clock is still bound.
+        rt.event_clocks[0]->mark();
         rt.hooks->on_scheduler_note(
             0, SchedulerNote::kTaskgraphDivergeResidue,
             static_cast<std::int64_t>(rt.replay.unspawned_count()));

@@ -1,5 +1,6 @@
 #include "telemetry/telemetry.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/assert.hpp"
@@ -174,17 +175,27 @@ TimedHooks::TimedHooks(rt::SchedulerHooks* inner, Registry* registry,
 
 void TimedHooks::on_parallel_begin(int num_threads) {
   registry_->prepare(num_threads);
-  const Timed timed(*this, 0);  // encountering thread is the master
+  stamps_.assign(
+      std::max(stamps_.size(), static_cast<std::size_t>(num_threads)),
+      nullptr);
+  // Encountering thread, outside any worker's event: no stamp.
+  const Timed timed(*this, 0, nullptr);
   inner_->on_parallel_begin(num_threads);
 }
 
 void TimedHooks::on_parallel_end() {
-  const Timed timed(*this, 0);
+  const Timed timed(*this, 0, nullptr);
   inner_->on_parallel_end();
 }
 
 void TimedHooks::on_implicit_task_begin(ThreadId thread, const Clock& clock) {
-  const Timed timed(*this, thread);
+  // Decided once per thread and region: only the real engine's wall-time
+  // event clock may start a span that clock_ (a steady clock) ends.
+  const EventClock* event_clock =
+      clock_ == &default_clock_ ? dynamic_cast<const EventClock*>(&clock)
+                                : nullptr;
+  if (thread < stamps_.size()) stamps_[thread] = event_clock;
+  const Timed timed(*this, thread, event_clock);
   inner_->on_implicit_task_begin(thread, clock);
 }
 

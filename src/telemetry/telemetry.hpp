@@ -137,9 +137,11 @@ class Registry {
   /// relaxed load+store on a thread-private cache line.  Each slot has a
   /// single writer (the owning thread), so the non-RMW update loses
   /// nothing — and unlike fetch_add it compiles to plain moves instead of
-  /// a locked instruction, which is what keeps the sink-attached hot path
-  /// within the <5 % overhead budget on 100 ns tasks
-  /// (bench_telemetry_overhead).
+  /// a locked instruction (a relaxed fetch_add per counter once cost
+  /// +37 % on fib).  The overhead ladder (perfbench, `fine_tasks`, 4-vCPU
+  /// host) puts the whole telemetry layer — these updates plus
+  /// TimedHooks' self-timing — at 46.5 ns/event (EXPERIMENTS.md,
+  /// "Per-event clock reads").
   void add(ThreadId thread, Counter c, std::uint64_t n = 1) noexcept {
     std::atomic<std::uint64_t>& s = slot(thread, c);
     s.store(s.load(std::memory_order_relaxed) + n,
@@ -237,6 +239,13 @@ inline Registry::ThreadSlots Registry::slots(ThreadId thread) noexcept {
 /// (Counter::kHookEvents / kHookTicks on the event's thread).  This is how
 /// the profiler's own overhead lands *next to* the profile it produced —
 /// the paper's §V overhead numbers, measured in-band.
+///
+/// On a thread whose engine clock is the real engine's EventClock, the
+/// start of each event is that event's stamp — the same read the inner
+/// listeners get — so timing costs one extra wall-clock read per event,
+/// at the end.  On any other thread clock (the simulator's virtual time)
+/// and with an injected clock, both ends are read from the decorator's
+/// own clock: a virtual start must never meet a wall-clock end.
 class TimedHooks final : public rt::SchedulerHooks {
  public:
   /// `inner` and `registry` must outlive the decorator.  `clock` defaults
@@ -271,10 +280,17 @@ class TimedHooks final : public rt::SchedulerHooks {
 
  private:
   /// Times one callback; charges to `thread`'s block on destruction.
+  /// The start is `thread`'s event stamp where it has one, else a read
+  /// of clock_; the three-argument form names the stamp (nullable).
   class Timed {
    public:
     Timed(const TimedHooks& owner, ThreadId thread) noexcept
-        : owner_(owner), thread_(thread), start_(owner.clock_->now()) {}
+        : Timed(owner, thread, owner.stamp(thread)) {}
+    Timed(const TimedHooks& owner, ThreadId thread,
+          const EventClock* stamp) noexcept
+        : owner_(owner),
+          thread_(thread),
+          start_(stamp != nullptr ? stamp->now() : owner.clock_->now()) {}
     ~Timed() {
       owner_.registry_->add(thread_, Counter::kHookEvents);
       owner_.registry_->add(
@@ -290,10 +306,20 @@ class TimedHooks final : public rt::SchedulerHooks {
     Ticks start_;
   };
 
+  /// The event stamp for `thread`'s events, or nullptr to read clock_.
+  [[nodiscard]] const EventClock* stamp(ThreadId thread) const noexcept {
+    return thread < stamps_.size() ? stamps_[thread] : nullptr;
+  }
+
   rt::SchedulerHooks* inner_;
   Registry* registry_;
   SteadyClock default_clock_;
   const Clock* clock_;
+  /// Per thread: its engine's EventClock when the start may come from
+  /// the event stamp, else nullptr.  Reset in on_parallel_begin (a
+  /// single-threaded point), then each worker writes only its own entry
+  /// in on_implicit_task_begin.
+  std::vector<const EventClock*> stamps_;
 };
 
 }  // namespace taskprof::telemetry

@@ -42,15 +42,21 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] std::string_view event_kind_name(EventKind kind) noexcept;
 
+/// One recorded event.  Fields are ordered widest first so the struct
+/// packs into 40 bytes (trace buffers hold millions of them); the file
+/// format writes field by field in its own order (trace/file.cpp), so
+/// the layout does not reach the disk.  Build one with designated
+/// initializers, e.g. {.time = t, .task = id, .kind = EventKind::kTaskEnd}.
 struct TraceEvent {
   Ticks time = 0;
-  ThreadId thread = 0;
-  EventKind kind = EventKind::kTaskBegin;
   TaskInstanceId task = kImplicitTaskId;  ///< subject instance
-  RegionHandle region = kInvalidRegion;
   std::int64_t parameter = kNoParameter;
+  ThreadId thread = 0;
+  RegionHandle region = kInvalidRegion;
   ThreadId peer = 0;  ///< migration destination
+  EventKind kind = EventKind::kTaskBegin;
 };
+static_assert(sizeof(TraceEvent) == 40, "TraceEvent packs into 40 bytes");
 
 /// A finished trace: per-thread streams (each time-ordered by
 /// construction) plus a merged, globally time-ordered view.

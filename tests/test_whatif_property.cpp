@@ -173,27 +173,22 @@ TEST(WhatIfProperty, SerialChainsProjectExactly) {
           registry.register_region("stage_b", RegionType::kTask);
       std::vector<trace::TraceEvent> events;
       Ticks now = 0;
-      events.push_back({now, 0, trace::EventKind::kImplicitBegin,
-                        kImplicitTaskId, kInvalidRegion, kNoParameter, 0});
+      events.push_back({.time = now, .kind = trace::EventKind::kImplicitBegin});
       for (int i = 0; i < tasks; ++i) {
         const TaskInstanceId id = static_cast<TaskInstanceId>(i + 1);
         const RegionHandle region = i % 2 == 0 ? stage_a : stage_b;
-        events.push_back({now, 0, trace::EventKind::kCreateEnd, id,
-                          region, kNoParameter, 0});
-        events.push_back({now, 0, trace::EventKind::kTaskwaitBegin,
-                          kImplicitTaskId, kInvalidRegion, kNoParameter,
-                          0});
-        events.push_back({now, 0, trace::EventKind::kTaskBegin, id,
-                          region, kNoParameter, 0});
+        events.push_back({.time = now, .task = id, .region = region,
+                          .kind = trace::EventKind::kCreateEnd});
+        events.push_back({.time = now,
+                          .kind = trace::EventKind::kTaskwaitBegin});
+        events.push_back({.time = now, .task = id, .region = region,
+                          .kind = trace::EventKind::kTaskBegin});
         now += duration;
-        events.push_back({now, 0, trace::EventKind::kTaskEnd, id, region,
-                          kNoParameter, 0});
-        events.push_back({now, 0, trace::EventKind::kTaskwaitEnd,
-                          kImplicitTaskId, kInvalidRegion, kNoParameter,
-                          0});
+        events.push_back({.time = now, .task = id, .region = region,
+                          .kind = trace::EventKind::kTaskEnd});
+        events.push_back({.time = now, .kind = trace::EventKind::kTaskwaitEnd});
       }
-      events.push_back({now, 0, trace::EventKind::kImplicitEnd,
-                        kImplicitTaskId, kInvalidRegion, kNoParameter, 0});
+      events.push_back({.time = now, .kind = trace::EventKind::kImplicitEnd});
       const trace::Trace trace({std::move(events)});
       const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
       whatif::WhatIfProfile profile;

@@ -60,8 +60,11 @@ class TraceBuilder {
              TaskInstanceId task = kImplicitTaskId) {
     const RegionHandle region =
         task == kImplicitTaskId ? kInvalidRegion : region_;
-    streams_[thread].push_back(
-        {now_, thread, kind, task, region, kNoParameter, 0});
+    streams_[thread].push_back({.time = now_,
+                                .task = task,
+                                .thread = thread,
+                                .region = region,
+                                .kind = kind});
   }
 
   RegionHandle region_;
@@ -190,7 +193,8 @@ TEST(WorkSpan, EvaluationHonorsCustomCosts) {
   std::vector<trace::TraceEvent> events;
   auto add = [&events](Ticks time, EventKind kind, TaskInstanceId task,
                        RegionHandle region) {
-    events.push_back({time, 0, kind, task, region, kNoParameter, 0});
+    events.push_back(
+        {.time = time, .task = task, .region = region, .kind = kind});
   };
   add(0, EventKind::kImplicitBegin, 0, kInvalidRegion);
   add(0, EventKind::kCreateEnd, 1, cold);
