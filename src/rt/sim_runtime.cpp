@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -103,14 +104,25 @@ struct Worker {
   ScheduleStream sched;
 };
 
-/// Clock view onto one worker's virtual time.
+/// Clock view onto one worker's virtual time.  Listeners keep the clock
+/// until finalize(), past the region and past later regions of other
+/// team sizes, so it outlives the per-region Worker: while a region runs
+/// it reads its worker, and from the region's end on it reads the time
+/// that worker ended at.
 class WorkerClock final : public Clock {
  public:
-  explicit WorkerClock(const Worker* worker) : worker_(worker) {}
-  [[nodiscard]] Ticks now() const noexcept override { return worker_->time; }
+  [[nodiscard]] Ticks now() const noexcept override {
+    return worker_ != nullptr ? worker_->time : frozen_;
+  }
+  void bind(const Worker* worker) noexcept { worker_ = worker; }
+  void freeze() noexcept {
+    frozen_ = worker_->time;
+    worker_ = nullptr;
+  }
 
  private:
-  const Worker* worker_;
+  const Worker* worker_ = nullptr;
+  Ticks frozen_ = 0;
 };
 
 /// FIFO resource with a single service timeline: the simulated runtime
@@ -146,7 +158,9 @@ struct SimRuntime::Impl {
   // virtual workers, pointer-chasing per event is what thrashes.
   int nthreads = 0;
   std::vector<Worker> workers;
-  std::vector<WorkerClock> clocks;
+  /// One clock per worker id for the runtime's lifetime (grown, never
+  /// shrunk; stable addresses), bound to `workers` during a region.
+  std::vector<std::unique_ptr<WorkerClock>> clocks;
   /// True when the topology splits this team across more than one
   /// populated locality domain; false keeps every cost bit-identical to
   /// the flat pre-topology model.
@@ -586,7 +600,7 @@ class SimContext final : public TaskContext {
 
 void SimRuntime::Impl::start_implicit(Worker& w) {
   if (hooks != nullptr) {
-    hooks->on_implicit_task_begin(w.id, clocks[w.id]);
+    hooks->on_implicit_task_begin(w.id, *clocks[w.id]);
     charge(w);
   }
   auto* imp = new SimTask();
@@ -1009,8 +1023,9 @@ TeamStats SimRuntime::parallel(int num_threads, TaskFn body) {
   rt.nthreads = num_threads;
   rt.workers.clear();
   rt.workers.resize(static_cast<std::size_t>(num_threads));
-  rt.clocks.clear();
-  rt.clocks.reserve(static_cast<std::size_t>(num_threads));
+  while (rt.clocks.size() < static_cast<std::size_t>(num_threads)) {
+    rt.clocks.push_back(std::make_unique<WorkerClock>());
+  }
   rt.topo_active = false;
   for (int i = 0; i < num_threads; ++i) {
     Worker& w = rt.workers[static_cast<std::size_t>(i)];
@@ -1021,7 +1036,7 @@ TeamStats SimRuntime::parallel(int num_threads, TaskFn body) {
     }
     w.domain = rt.config.topology.domain_of(static_cast<std::uint32_t>(i));
     if (w.domain != rt.workers[0].domain) rt.topo_active = true;
-    rt.clocks.emplace_back(&w);
+    rt.clocks[static_cast<std::size_t>(i)]->bind(&w);
   }
   // Dispatch heap: all clocks start equal, so ascending ids already
   // satisfy the (time, id) heap order.
@@ -1065,6 +1080,9 @@ TeamStats SimRuntime::parallel(int num_threads, TaskFn body) {
   for (const Worker& w : rt.workers) end = std::max(end, w.time);
   rt.base_time = end;
   if (rt.hooks != nullptr) rt.hooks->on_parallel_end();
+  for (int i = 0; i < num_threads; ++i) {
+    rt.clocks[static_cast<std::size_t>(i)]->freeze();
+  }
 
   TeamStats stats;
   stats.parallel_ticks = end - t0;

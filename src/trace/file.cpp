@@ -1,15 +1,22 @@
 #include "trace/file.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 namespace taskprof::trace {
 
 namespace {
 
 constexpr char kMagic[8] = {'T', 'P', 'T', 'R', 'C', '1', '\n', '\0'};
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 8;
+constexpr std::size_t kCountBytes = 8;
+constexpr std::size_t kEventBytes = 37;
+constexpr std::uint64_t kMaxThreads = 1'000'000;
 
 struct FileCloser {
   void operator()(std::FILE* file) const noexcept {
@@ -22,99 +29,226 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
   throw std::runtime_error("trace file '" + path + "': " + what);
 }
 
-void write_bytes(std::FILE* file, const void* data, std::size_t size,
-                 const std::string& path) {
-  if (std::fwrite(data, 1, size, file) != size) fail(path, "write failed");
-}
+// ---- Little-endian field codec ---------------------------------------------
 
-void read_bytes(std::FILE* file, void* data, std::size_t size,
-                const std::string& path) {
-  if (std::fread(data, 1, size, file) != size) {
-    fail(path, "truncated or unreadable");
+template <typename T>
+void store_le(unsigned char* out, T value) noexcept {
+  using U = std::make_unsigned_t<T>;
+  const auto bits = static_cast<U>(value);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &bits, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      out[i] = static_cast<unsigned char>(bits >> (8 * i));
+    }
   }
 }
 
 template <typename T>
-void write_value(std::FILE* file, T value, const std::string& path) {
-  write_bytes(file, &value, sizeof(T), path);
+T load_le(const unsigned char* in) noexcept {
+  using U = std::make_unsigned_t<T>;
+  U bits = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&bits, in, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      bits = static_cast<U>(bits | (static_cast<U>(in[i]) << (8 * i)));
+    }
+  }
+  return static_cast<T>(bits);
 }
 
-template <typename T>
-T read_value(std::FILE* file, const std::string& path) {
-  T value{};
-  read_bytes(file, &value, sizeof(T), path);
-  return value;
+void encode_event(unsigned char* out, const TraceEvent& event) noexcept {
+  store_le<std::int64_t>(out, event.time);
+  store_le<std::uint32_t>(out + 8, event.thread);
+  store_le<std::uint8_t>(out + 12, static_cast<std::uint8_t>(event.kind));
+  store_le<std::uint64_t>(out + 13, event.task);
+  store_le<std::uint32_t>(out + 21, event.region);
+  store_le<std::int64_t>(out + 25, event.parameter);
+  store_le<std::uint32_t>(out + 33, event.peer);
 }
 
-void write_event(std::FILE* file, const TraceEvent& event,
-                 const std::string& path) {
-  write_value<std::int64_t>(file, event.time, path);
-  write_value<std::uint32_t>(file, event.thread, path);
-  write_value<std::uint8_t>(file, static_cast<std::uint8_t>(event.kind),
-                            path);
-  write_value<std::uint64_t>(file, event.task, path);
-  write_value<std::uint32_t>(file, event.region, path);
-  write_value<std::int64_t>(file, event.parameter, path);
-  write_value<std::uint32_t>(file, event.peer, path);
-}
-
-TraceEvent read_event(std::FILE* file, const std::string& path) {
-  TraceEvent event;
-  event.time = read_value<std::int64_t>(file, path);
-  event.thread = read_value<std::uint32_t>(file, path);
-  const auto kind = read_value<std::uint8_t>(file, path);
+TraceEvent decode_event(const unsigned char* in, const std::string& path) {
+  const auto kind = load_le<std::uint8_t>(in + 12);
   if (kind > static_cast<std::uint8_t>(EventKind::kWork)) {
     fail(path, "invalid event kind");
   }
-  event.kind = static_cast<EventKind>(kind);
-  event.task = read_value<std::uint64_t>(file, path);
-  event.region = read_value<std::uint32_t>(file, path);
-  event.parameter = read_value<std::int64_t>(file, path);
-  event.peer = read_value<std::uint32_t>(file, path);
-  return event;
+  return TraceEvent{.time = load_le<std::int64_t>(in),
+                    .task = load_le<std::uint64_t>(in + 13),
+                    .parameter = load_le<std::int64_t>(in + 25),
+                    .thread = load_le<std::uint32_t>(in + 8),
+                    .region = load_le<std::uint32_t>(in + 21),
+                    .peer = load_le<std::uint32_t>(in + 33),
+                    .kind = static_cast<EventKind>(kind)};
 }
+
+// ---- Block buffers -----------------------------------------------------------
+
+/// Encodes into one bounded buffer and writes it with one fwrite per
+/// block.
+class BlockWriter {
+ public:
+  BlockWriter(std::FILE* file, const std::string& path, std::size_t capacity)
+      : file_(file),
+        path_(path),
+        capacity_(capacity),
+        block_(std::make_unique_for_overwrite<unsigned char[]>(capacity)) {}
+
+  /// Space for the next `bytes` (<= capacity) of the file.
+  unsigned char* next(std::size_t bytes) {
+    if (capacity_ - used_ < bytes) flush();
+    unsigned char* out = block_.get() + used_;
+    used_ += bytes;
+    return out;
+  }
+
+  void flush() {
+    if (used_ != 0 && std::fwrite(block_.get(), 1, used_, file_) != used_) {
+      fail(path_, "write failed");
+    }
+    used_ = 0;
+  }
+
+ private:
+  std::FILE* file_;
+  const std::string& path_;
+  std::size_t capacity_;
+  std::unique_ptr<unsigned char[]> block_;
+  std::size_t used_ = 0;
+};
+
+/// Reads the file through one bounded buffer, refilled with one fread
+/// per block; `remaining()` is what the file still holds past the bytes
+/// handed out, from its size learned at open.
+class BlockReader {
+ public:
+  BlockReader(std::FILE* file, const std::string& path,
+              std::uint64_t file_bytes, std::size_t capacity)
+      : file_(file),
+        path_(path),
+        capacity_(capacity),
+        block_(std::make_unique_for_overwrite<unsigned char[]>(capacity)),
+        unread_(file_bytes) {}
+
+  [[nodiscard]] std::uint64_t remaining() const noexcept {
+    return unread_ + (end_ - pos_);
+  }
+
+  /// The next `bytes` (<= capacity) of the file.
+  const unsigned char* next(std::size_t bytes) {
+    if (end_ - pos_ < bytes) refill(bytes);
+    const unsigned char* in = block_.get() + pos_;
+    pos_ += bytes;
+    return in;
+  }
+
+ private:
+  void refill(std::size_t bytes) {
+    const std::size_t kept = end_ - pos_;
+    std::memmove(block_.get(), block_.get() + pos_, kept);
+    pos_ = 0;
+    end_ = kept;
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(capacity_ - kept, unread_));
+    if (kept + want < bytes ||
+        std::fread(block_.get() + kept, 1, want, file_) != want) {
+      fail(path_, "truncated or unreadable");
+    }
+    end_ += want;
+    unread_ -= want;
+  }
+
+  std::FILE* file_;
+  const std::string& path_;
+  std::size_t capacity_;
+  std::unique_ptr<unsigned char[]> block_;
+  std::uint64_t unread_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+};
 
 }  // namespace
 
-void write_trace_file(const std::string& path, const Trace& trace) {
+namespace detail {
+
+void write_trace_file(const std::string& path, const Trace& trace,
+                      std::size_t block_bytes) {
   FilePtr file(std::fopen(path.c_str(), "wb"));
   if (file == nullptr) fail(path, "cannot open for writing");
-  write_bytes(file.get(), kMagic, sizeof(kMagic), path);
-  write_value<std::uint64_t>(file.get(), trace.thread_count(), path);
+  const std::uint64_t file_bytes = kHeaderBytes +
+                                   trace.thread_count() * kCountBytes +
+                                   trace.event_count() * kEventBytes;
+  BlockWriter out(file.get(), path,
+                  static_cast<std::size_t>(std::min<std::uint64_t>(
+                      std::max(block_bytes, kEventBytes), file_bytes)));
+  std::memcpy(out.next(sizeof(kMagic)), kMagic, sizeof(kMagic));
+  store_le<std::uint64_t>(out.next(kCountBytes), trace.thread_count());
   for (ThreadId thread = 0; thread < trace.thread_count(); ++thread) {
     const auto& events = trace.thread_events(thread);
-    write_value<std::uint64_t>(file.get(), events.size(), path);
+    store_le<std::uint64_t>(out.next(kCountBytes), events.size());
     for (const TraceEvent& event : events) {
-      write_event(file.get(), event, path);
+      encode_event(out.next(kEventBytes), event);
     }
   }
+  out.flush();
   if (std::fflush(file.get()) != 0) fail(path, "flush failed");
 }
 
-Trace read_trace_file(const std::string& path) {
+Trace read_trace_file(const std::string& path, std::size_t block_bytes) {
   FilePtr file(std::fopen(path.c_str(), "rb"));
   if (file == nullptr) fail(path, "cannot open for reading");
-  char magic[sizeof(kMagic)];
-  read_bytes(file.get(), magic, sizeof(magic), path);
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  // The blocks are the only buffer: stdio's own would copy twice.
+  std::setvbuf(file.get(), nullptr, _IONBF, 0);
+  if (std::fseek(file.get(), 0, SEEK_END) != 0) {
+    fail(path, "truncated or unreadable");
+  }
+  const long size = std::ftell(file.get());
+  if (size < 0 || std::fseek(file.get(), 0, SEEK_SET) != 0) {
+    fail(path, "truncated or unreadable");
+  }
+  const auto file_bytes = static_cast<std::uint64_t>(size);
+  BlockReader in(file.get(), path, file_bytes,
+                 static_cast<std::size_t>(std::clamp<std::uint64_t>(
+                     file_bytes, 1, std::max(block_bytes, kEventBytes))));
+
+  if (std::memcmp(in.next(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
     fail(path, "bad magic (not a taskprof trace, or wrong version)");
   }
-  const auto thread_count = read_value<std::uint64_t>(file.get(), path);
-  if (thread_count > 1'000'000) fail(path, "implausible thread count");
+  const auto thread_count = load_le<std::uint64_t>(in.next(kCountBytes));
+  if (thread_count > kMaxThreads) fail(path, "implausible thread count");
+  // Every count is checked against the bytes left before anything is
+  // sized from it, so a corrupt header cannot allocate more than the
+  // file could hold.
+  if (thread_count > in.remaining() / kCountBytes) {
+    fail(path, "truncated or unreadable");
+  }
   std::vector<std::vector<TraceEvent>> per_thread(thread_count);
   for (auto& stream : per_thread) {
-    const auto count = read_value<std::uint64_t>(file.get(), path);
-    stream.reserve(count > (1u << 20) ? (1u << 20) : count);
+    const auto count = load_le<std::uint64_t>(in.next(kCountBytes));
+    if (count > in.remaining() / kEventBytes) {
+      fail(path, "truncated or unreadable");
+    }
+    stream.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
-      stream.push_back(read_event(file.get(), path));
+      stream.push_back(decode_event(in.next(kEventBytes), path));
     }
   }
-  // Trailing garbage indicates corruption.
+  // Trailing garbage indicates corruption (so does a file that grew).
   char extra;
-  if (std::fread(&extra, 1, 1, file.get()) != 0) {
+  if (in.remaining() != 0 || std::fread(&extra, 1, 1, file.get()) != 0) {
     fail(path, "trailing data after events");
   }
   return Trace(std::move(per_thread));
+}
+
+}  // namespace detail
+
+void write_trace_file(const std::string& path, const Trace& trace) {
+  detail::write_trace_file(path, trace, detail::kTraceBlockBytes);
+}
+
+Trace read_trace_file(const std::string& path) {
+  return detail::read_trace_file(path, detail::kTraceBlockBytes);
 }
 
 }  // namespace taskprof::trace

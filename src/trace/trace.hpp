@@ -72,7 +72,9 @@ class Trace {
       ThreadId thread) const {
     return per_thread_[thread];
   }
-  /// All events, sorted by (time, thread); built lazily on first use.
+  /// All events, sorted by (time, thread), equal keys in stream order
+  /// (what a stable sort of the concatenated streams gives); built
+  /// lazily on first use by a k-way merge of the streams.
   [[nodiscard]] const std::vector<TraceEvent>& merged() const;
 
   [[nodiscard]] std::size_t event_count() const noexcept;

@@ -4,10 +4,12 @@
 // shrinking teams, and the Instrumentor's per-thread create-region cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "check/invariants.hpp"
 #include "common/clock.hpp"
@@ -164,30 +166,38 @@ TEST(EventClockTimedHooks, RealEngineHookTicksAreWallTimeWithinTheRun) {
   expect_plausible_hook_ticks(runtime, 2, 2);
 }
 
-// The profilers keep each worker's clock until finalize(); a later,
-// smaller team must not free the clocks of the workers it no longer
-// uses.  finalize() closes each implicit root at that thread's last
-// event, which the trace recorder stamped with the same clock.
-TEST(EventClock, ClocksOutliveShrinkingTeamsUntilFinalize) {
+// The profilers keep each worker's clock until finalize(); a later team
+// of another size must neither free nor move the clocks of the workers it
+// no longer uses.  finalize() closes each implicit root at that thread's
+// last event, which the trace recorder stamped with the same clock.
+void expect_clocks_outlive_teams(rt::Runtime& runtime,
+                                 const std::vector<int>& teams) {
   RegionRegistry registry;
   const RegionHandle task = registry.register_region("t", RegionType::kTask);
   Instrumentor instr(registry);
   trace::TraceRecorder recorder;
   rt::FanoutHooks fanout{&instr, &recorder};
-  rt::RealRuntime runtime;
   runtime.set_hooks(&fanout);
   std::atomic<std::uint64_t> sink{0};
   const rt::TaskFn body = [&](rt::TaskContext& ctx) {
     for (int i = 0; i < 20; ++i) {
-      ctx.create_task([&sink](rt::TaskContext&) { spin(sink, 100); },
-                      attrs_for(task));
+      ctx.create_task(
+          [&sink](rt::TaskContext& c) {
+            c.work(1'000);  // virtual time on the simulator, no-op on threads
+            spin(sink, 100);
+          },
+          attrs_for(task));
     }
     ctx.taskwait();
     ctx.barrier();
   };
   std::uint64_t executed = 0;
-  for (const int team : {2, 4, 1}) {
+  std::uint64_t workers = 0;
+  std::size_t largest = 0;
+  for (const int team : teams) {
     executed += runtime.parallel(team, body).tasks_executed;
+    workers += static_cast<std::uint64_t>(team);
+    largest = std::max(largest, static_cast<std::size_t>(team));
   }
   runtime.set_hooks(nullptr);
   instr.finalize();
@@ -197,12 +207,12 @@ TEST(EventClock, ClocksOutliveShrinkingTeamsUntilFinalize) {
   EXPECT_TRUE(report.ok()) << report.to_string();
   const CallNode* root = profile.task_root(task);
   ASSERT_NE(root, nullptr);
-  EXPECT_EQ(root->visits, (2u + 4u + 1u) * 20u);
-  EXPECT_EQ(executed, (2u + 4u + 1u) * 20u);
+  EXPECT_EQ(root->visits, workers * 20u);
+  EXPECT_EQ(executed, workers * 20u);
 
   const trace::Trace trace = recorder.take();
-  ASSERT_EQ(trace.thread_count(), 4u);
-  for (ThreadId t = 0; t < 4; ++t) {
+  ASSERT_EQ(trace.thread_count(), largest);
+  for (ThreadId t = 0; t < largest; ++t) {
     const ThreadTaskProfiler* prof = instr.profiler(t);
     ASSERT_NE(prof, nullptr);
     const auto& events = trace.thread_events(t);
@@ -213,6 +223,20 @@ TEST(EventClock, ClocksOutliveShrinkingTeamsUntilFinalize) {
               events.back().time - events.front().time)
         << "thread " << t;
   }
+}
+
+TEST(EventClock, ClocksOutliveShrinkingTeamsUntilFinalize) {
+  rt::RealRuntime runtime;
+  expect_clocks_outlive_teams(runtime, {2, 4, 1});
+}
+
+// The simulator's virtual clocks likewise: a team of 1 after one of 4
+// leaves workers 1-3 idle, a team of 8 after that grows the engine's
+// per-worker state, and a last team of 2 leaves workers 2-7 to be closed
+// by finalize() from clocks their workers no longer run.
+TEST(EventClock, SimulatorClocksOutliveChangingTeamsUntilFinalize) {
+  rt::SimRuntime runtime;
+  expect_clocks_outlive_teams(runtime, {4, 1, 8, 2});
 }
 
 // Two constructs, each first created mid-region by several workers at

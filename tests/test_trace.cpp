@@ -7,11 +7,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <functional>
+#include <iterator>
 
 #include "bots/kernel.hpp"
+#include "common/rng.hpp"
 #include "instrument/instrumentor.hpp"
 #include "rt/sim_runtime.hpp"
 
@@ -86,6 +90,108 @@ TEST_F(TraceTest, MergedEventsAreTimeOrdered) {
   const auto [begin, end] = trace.time_span();
   EXPECT_EQ(begin, merged.front().time);
   EXPECT_EQ(end, merged.back().time);
+}
+
+// ---- Merged view -------------------------------------------------------------
+
+/// The merged view's reference: a stable sort by (time, thread) over the
+/// concatenated streams.
+std::vector<TraceEvent> stable_sorted_concatenation(
+    const std::vector<std::vector<TraceEvent>>& streams) {
+  std::vector<TraceEvent> all;
+  for (const auto& stream : streams) {
+    all.insert(all.end(), stream.begin(), stream.end());
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     return a.thread < b.thread;
+                   });
+  return all;
+}
+
+/// `threads` time-ordered streams of 0..max_events events each.  Times
+/// step by 0..2 ticks from a common start, so equal timestamps occur
+/// within and across streams; every event carries a unique `task`, so
+/// comparing tasks element by element catches any reordering.
+std::vector<std::vector<TraceEvent>> random_streams(Xoshiro256& rng,
+                                                    std::size_t threads,
+                                                    std::size_t max_events) {
+  std::vector<std::vector<TraceEvent>> streams(threads);
+  TaskInstanceId serial = 1;
+  for (std::size_t t = 0; t < threads; ++t) {
+    Ticks time = static_cast<Ticks>(rng.next_below(4));
+    const std::size_t count = rng.next_below(max_events + 1);
+    for (std::size_t i = 0; i < count; ++i) {
+      time += static_cast<Ticks>(rng.next_below(3));
+      streams[t].push_back(TraceEvent{.time = time,
+                                      .task = serial++,
+                                      .thread = static_cast<ThreadId>(t)});
+    }
+  }
+  return streams;
+}
+
+void expect_merge_matches_reference(
+    std::vector<std::vector<TraceEvent>> streams) {
+  const std::vector<TraceEvent> expected = stable_sorted_concatenation(streams);
+  const Trace trace(std::move(streams));
+  const std::vector<TraceEvent>& merged = trace.merged();
+  ASSERT_EQ(merged.size(), expected.size());
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    ASSERT_EQ(merged[i].task, expected[i].task) << "position " << i;
+    ASSERT_EQ(merged[i].time, expected[i].time) << "position " << i;
+    ASSERT_EQ(merged[i].thread, expected[i].thread) << "position " << i;
+  }
+}
+
+TEST(TraceMerge, MatchesStableSortOfTheConcatenation) {
+  Xoshiro256 rng(0x3E7'6ED5'7EA3ull);
+  for (int round = 0; round < 400; ++round) {
+    SCOPED_TRACE(round);
+    const std::size_t threads = 1 + rng.next_below(8);
+    std::vector<std::vector<TraceEvent>> streams =
+        random_streams(rng, threads, 48);
+    switch (round % 5) {
+      case 0:  // recorded shape: ordered streams, ties across threads
+        break;
+      case 1:  // event.thread reversed against the stream index; every
+               // stream stays in key order
+        for (std::size_t t = 0; t < threads; ++t) {
+          for (TraceEvent& event : streams[t]) {
+            event.thread = static_cast<ThreadId>(threads - 1 - t);
+          }
+        }
+        break;
+      case 2:  // event.thread random: streams out of key order at ties
+        for (auto& stream : streams) {
+          for (TraceEvent& event : stream) {
+            event.thread = static_cast<ThreadId>(rng.next_below(threads));
+          }
+        }
+        break;
+      case 3: {  // one stream out of time order
+        auto& stream = streams[rng.next_below(threads)];
+        for (std::size_t i = stream.size(); i > 1; --i) {
+          std::swap(stream[i - 1], stream[rng.next_below(i)]);
+        }
+        break;
+      }
+      case 4:  // empty streams among non-empty ones
+        for (auto& stream : streams) {
+          if (rng.next_below(2) == 0) stream.clear();
+        }
+        break;
+    }
+    expect_merge_matches_reference(std::move(streams));
+  }
+}
+
+TEST(TraceMerge, EmptyStreamsAndEmptyTrace) {
+  expect_merge_matches_reference({});
+  expect_merge_matches_reference({{}, {}, {}});
+  expect_merge_matches_reference(
+      {{}, {TraceEvent{.time = 5, .task = 1, .thread = 1}}, {}});
 }
 
 TEST_F(TraceTest, TakeResetsTheRecorder) {
@@ -431,6 +537,28 @@ class TraceFileTest : public TraceTest {
   std::string path_ = ::testing::TempDir() + "/taskprof_test.trace";
 };
 
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void expect_same_events(const Trace& a, const Trace& b) {
+  ASSERT_EQ(a.thread_count(), b.thread_count());
+  for (ThreadId t = 0; t < a.thread_count(); ++t) {
+    const auto& x = a.thread_events(t);
+    const auto& y = b.thread_events(t);
+    ASSERT_EQ(x.size(), y.size()) << "thread " << t;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_TRUE(x[i].time == y[i].time && x[i].thread == y[i].thread &&
+                  x[i].kind == y[i].kind && x[i].task == y[i].task &&
+                  x[i].region == y[i].region &&
+                  x[i].parameter == y[i].parameter && x[i].peer == y[i].peer)
+          << "thread " << t << " event " << i;
+    }
+  }
+}
+
 TEST_F(TraceFileTest, RoundTripPreservesEveryEvent) {
   const Trace original = record(3, [this](rt::TaskContext& ctx) {
     for (int i = 0; i < 10; ++i) {
@@ -446,23 +574,7 @@ TEST_F(TraceFileTest, RoundTripPreservesEveryEvent) {
   });
   trace::write_trace_file(path_, original);
   const Trace loaded = trace::read_trace_file(path_);
-
-  ASSERT_EQ(loaded.thread_count(), original.thread_count());
-  ASSERT_EQ(loaded.event_count(), original.event_count());
-  for (ThreadId t = 0; t < original.thread_count(); ++t) {
-    const auto& a = original.thread_events(t);
-    const auto& b = loaded.thread_events(t);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].time, b[i].time);
-      EXPECT_EQ(a[i].thread, b[i].thread);
-      EXPECT_EQ(a[i].kind, b[i].kind);
-      EXPECT_EQ(a[i].task, b[i].task);
-      EXPECT_EQ(a[i].region, b[i].region);
-      EXPECT_EQ(a[i].parameter, b[i].parameter);
-      EXPECT_EQ(a[i].peer, b[i].peer);
-    }
-  }
+  expect_same_events(original, loaded);
   // Analyses agree on original and loaded traces.
   const auto analysis_a = trace::analyze_trace(original);
   const auto analysis_b = trace::analyze_trace(loaded);
@@ -522,6 +634,87 @@ TEST_F(TraceFileTest, TrailingGarbageThrows) {
   std::fputs("junk", f);
   std::fclose(f);
   EXPECT_THROW(trace::read_trace_file(path_), std::runtime_error);
+  std::remove(path_.c_str());
+}
+
+// write -> read -> write reproduces the file byte for byte, on every
+// kernel's recording (4 simulated workers, so all streams interleave).
+TEST_F(TraceFileTest, EveryKernelRoundTripsByteForByte) {
+  const std::string again = path_ + ".again";
+  for (const auto& kernel : bots::make_all_kernels()) {
+    SCOPED_TRACE(std::string(kernel->name()));
+    RegionRegistry registry;
+    rt::SimRuntime sim;
+    TraceRecorder recorder;
+    sim.set_hooks(&recorder);
+    bots::KernelConfig config;
+    config.threads = 4;
+    config.size = bots::SizeClass::kTest;
+    ASSERT_TRUE(kernel->run(sim, registry, config).ok);
+    sim.set_hooks(nullptr);
+    const Trace original = recorder.take();
+    ASSERT_GT(original.event_count(), 0u);
+
+    trace::write_trace_file(path_, original);
+    const Trace loaded = trace::read_trace_file(path_);
+    expect_same_events(original, loaded);
+    trace::write_trace_file(again, loaded);
+    EXPECT_EQ(file_bytes(path_), file_bytes(again));
+  }
+  std::remove(path_.c_str());
+  std::remove(again.c_str());
+}
+
+/// The program behind tests/corpus/trace/ok_two_regions.tptrc: a region
+/// of 4 workers running untied tasks that migrate, then one of 2 workers
+/// running tied tasks, on one simulator.
+Trace golden_program_trace() {
+  RegionRegistry registry;
+  const RegionHandle task = registry.register_region("t", RegionType::kTask);
+  rt::SimRuntime sim;
+  TraceRecorder recorder;
+  sim.set_hooks(&recorder);
+  sim.parallel(4, [task](rt::TaskContext& ctx) {
+    if (!ctx.single()) return;
+    for (int i = 0; i < 24; ++i) {
+      ctx.create_task(
+          [task](rt::TaskContext& outer) {
+            outer.create_task([](rt::TaskContext& c) { c.work(20'000); },
+                              attrs_for(task));
+            outer.taskwait();
+            outer.work(2'000);
+          },
+          attrs_for(task, rt::TaskBinding::kUntied));
+    }
+  });
+  sim.parallel(2, [task](rt::TaskContext& ctx) {
+    if (!ctx.single()) return;
+    for (int i = 0; i < 3; ++i) {
+      ctx.create_task([](rt::TaskContext& c) { c.work(1'000); },
+                      attrs_for(task));
+    }
+    ctx.taskwait();
+  });
+  sim.set_hooks(nullptr);
+  return recorder.take();
+}
+
+// Format-stability golden: a file written by the field-by-field writer
+// that preceded the block codec loads into the events its program records
+// today, and today's writer reproduces it byte for byte.
+TEST_F(TraceFileTest, CommittedGoldenLoadsAndRewritesByteForByte) {
+  const std::string golden =
+      std::string(TASKPROF_TRACE_CORPUS_DIR) + "/ok_two_regions.tptrc";
+  const Trace loaded = trace::read_trace_file(golden);
+  const Trace recorded = golden_program_trace();
+  bool migrated = false;
+  for (const TraceEvent& event : loaded.merged()) {
+    migrated = migrated || event.kind == EventKind::kMigrate;
+  }
+  EXPECT_TRUE(migrated);
+  expect_same_events(recorded, loaded);
+  trace::write_trace_file(path_, loaded);
+  EXPECT_EQ(file_bytes(path_), file_bytes(golden));
   std::remove(path_.c_str());
 }
 
