@@ -259,7 +259,7 @@ inline void print_header(const char* title, const char* paper_ref,
 // Benches that track a performance trajectory across PRs write one flat
 // JSON file per run: a top-level object with "bench", the harness options,
 // and a "results" array of records.  JsonWriter is a minimal emitter for
-// exactly that shape — keys are written verbatim, strings are escaped,
+// exactly that shape — keys and strings are escaped,
 // commas and indentation are managed by the begin/end nesting.
 // ---------------------------------------------------------------------------
 
@@ -274,9 +274,7 @@ class JsonWriter {
 
   void field(const char* key, const std::string& value) {
     pre(key);
-    out_ += '"';
-    append_escaped(value);
-    out_ += '"';
+    append_json_string(&out_, value);
   }
   void field(const char* key, const char* value) {
     field(key, std::string(value));
@@ -294,9 +292,7 @@ class JsonWriter {
   }
   void field(const char* key, double value) {
     pre(key);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    out_ += buf;
+    append_json_double(&out_, value);
   }
   void field(const char* key, bool value) {
     pre(key);
@@ -340,24 +336,12 @@ class JsonWriter {
     }
     first_ = false;
     if (key != nullptr) {
-      out_ += '"';
-      append_escaped(key);
-      out_ += "\": ";
+      append_json_string(&out_, key);
+      out_ += ": ";
     }
   }
   void indent() {
     out_.append(2 * stack_.size(), ' ');
-  }
-  void append_escaped(const std::string& s) {
-    for (char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        default: out_ += c;
-      }
-    }
   }
 
   std::string out_;

@@ -86,7 +86,8 @@ void usage(const char* argv0) {
       "  --depth-params        per-recursion-depth sub-trees (Table IV)\n"
       "  --seed=N              workload seed (default 42)\n"
       "  --report=summary|tree|csv|cube|findings|all   output format (default\n"
-      "                        summary)\n"
+      "                        summary); findings runs the diagnose\n"
+      "                        detectors over the profile\n"
       "  --trace               also record a trace; print the Section VII\n"
       "                        analyses and a timeline\n"
       "  --trace-out=FILE      record a trace and write it to FILE\n"
@@ -118,13 +119,14 @@ void usage(const char* argv0) {
       "                        (combine with --snapshot-every; without\n"
       "                        --snapshot-out no local file is written)\n"
       "  --report-json=FILE    write the profile analysis (construct stats,\n"
-      "                        scheduling points, advisor findings) as JSON\n"
+      "                        scheduling points, diagnose findings) as JSON\n"
       "  --uninstrumented      run without measurement (timing baseline)\n"
       "\n"
       "diagnose runs the detrimental-pattern detectors (creation storm,\n"
-      "serialized spawn chain, starved workers, granularity collapse,\n"
-      "taskwait serialization, replay fallback) over a live run, a .tpsnap\n"
-      "snapshot, and/or a recorded trace.  --fail-on=info|warning|problem\n"
+      "serialized spawn chain, starved workers - barrier idle without a\n"
+      "trace - granularity collapse, taskwait serialization, replay\n"
+      "fallback) over a live run, a .tpsnap snapshot, and/or a recorded\n"
+      "trace.  --fail-on=info|warning|problem\n"
       "exits 3 when a finding at or above that severity is present.\n"
       "\n"
       "whatif computes causal projections over a recorded trace: for each\n"
@@ -143,7 +145,7 @@ void usage(const char* argv0) {
 struct CliOptions {
   std::string kernel;
   std::string engine = "sim";
-  std::string scheduler = "chase_lev";
+  rt::SchedulerKind scheduler = rt::SchedulerKind::kChaseLev;
   std::string report = "summary";
   int repeat = 1;
   bots::KernelConfig config;
@@ -179,10 +181,100 @@ bool parse_topology_spec(const std::string& spec, rt::Topology& out) {
   return true;
 }
 
+/// Parses a --scheduler name; prints the error for an unknown one.
+bool parse_scheduler(const std::string& name, rt::SchedulerKind* out) {
+  if (name == "chase_lev") {
+    *out = rt::SchedulerKind::kChaseLev;
+  } else if (name == "mutex_deque") {
+    *out = rt::SchedulerKind::kMutexDeque;
+  } else if (name == "taskgraph") {
+    *out = rt::SchedulerKind::kTaskGraph;
+  } else {
+    std::fprintf(stderr, "unknown scheduler: %s\n", name.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// Applies one kernel-configuration option (--threads, --size, --cutoff,
+/// --untied, --depth-params, --seed) shared by every run mode; returns
+/// false when `arg` is not one of them.
+bool parse_kernel_option(const std::string& arg, bots::KernelConfig& config) {
+  if (arg.rfind("--threads=", 0) == 0) {
+    config.threads = std::stoi(arg.substr(std::strlen("--threads=")));
+  } else if (arg == "--size=test") {
+    config.size = bots::SizeClass::kTest;
+  } else if (arg == "--size=small") {
+    config.size = bots::SizeClass::kSmall;
+  } else if (arg == "--size=medium") {
+    config.size = bots::SizeClass::kMedium;
+  } else if (arg == "--cutoff") {
+    config.cutoff = true;
+  } else if (arg == "--untied") {
+    config.untied = true;
+  } else if (arg == "--depth-params") {
+    config.depth_parameter = true;
+  } else if (arg.rfind("--seed=", 0) == 0) {
+    config.seed = std::stoull(arg.substr(std::strlen("--seed=")));
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// The engine named by --engine ("sim" or "real"); nullptr, with the
+/// error printed, for an unknown name.
+std::unique_ptr<rt::Runtime> make_runtime(const std::string& engine,
+                                          rt::SchedulerKind scheduler,
+                                          const rt::Topology& topology) {
+  if (engine == "sim") {
+    rt::SimConfig config;
+    config.topology = topology;
+    return std::make_unique<rt::SimRuntime>(config);
+  }
+  if (engine == "real") {
+    rt::RealConfig config;
+    config.scheduler = scheduler;
+    config.topology = topology;
+    return std::make_unique<rt::RealRuntime>(config);
+  }
+  std::fprintf(stderr, "unknown engine: %s\n", engine.c_str());
+  return nullptr;
+}
+
+/// Region names are not stored in trace files: registers "region N" for
+/// every region handle up to the largest one `trace` mentions.
+void register_trace_regions(const trace::Trace& trace,
+                            RegionRegistry& registry) {
+  RegionHandle max_region = 0;
+  for (const auto& event : trace.merged()) {
+    if (event.region != kInvalidRegion) {
+      max_region = std::max(max_region, event.region);
+    }
+  }
+  for (RegionHandle r = 0; r <= max_region; ++r) {
+    registry.register_region("region " + std::to_string(r), RegionType::kTask);
+  }
+}
+
+/// Writes `content` to `path`; prints the error and returns false when
+/// the file cannot be opened.
+bool write_file(const std::string& path, const std::string& content) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fwrite(content.data(), 1, content.size(), f);
+  std::fclose(f);
+  return true;
+}
+
 bool parse(int argc, char** argv, CliOptions& cli) {
   cli.config.threads = 4;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (parse_kernel_option(arg, cli.config)) continue;
     auto value_of = [&arg](const char* prefix) {
       return arg.substr(std::strlen(prefix));
     };
@@ -191,25 +283,11 @@ bool parse(int argc, char** argv, CliOptions& cli) {
     } else if (arg.rfind("--engine=", 0) == 0) {
       cli.engine = value_of("--engine=");
     } else if (arg.rfind("--scheduler=", 0) == 0) {
-      cli.scheduler = value_of("--scheduler=");
+      if (!parse_scheduler(value_of("--scheduler="), &cli.scheduler)) {
+        return false;
+      }
     } else if (arg.rfind("--repeat=", 0) == 0) {
       cli.repeat = std::stoi(value_of("--repeat="));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.config.threads = std::stoi(value_of("--threads="));
-    } else if (arg == "--size=test") {
-      cli.config.size = bots::SizeClass::kTest;
-    } else if (arg == "--size=small") {
-      cli.config.size = bots::SizeClass::kSmall;
-    } else if (arg == "--size=medium") {
-      cli.config.size = bots::SizeClass::kMedium;
-    } else if (arg == "--cutoff") {
-      cli.config.cutoff = true;
-    } else if (arg == "--untied") {
-      cli.config.untied = true;
-    } else if (arg == "--depth-params") {
-      cli.config.depth_parameter = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cli.config.seed = std::stoull(value_of("--seed="));
     } else if (arg.rfind("--report=", 0) == 0) {
       cli.report = value_of("--report=");
     } else if (arg == "--uninstrumented") {
@@ -413,7 +491,7 @@ int cmd_merge(int argc, char** argv) {
 int cmd_diagnose(int argc, char** argv) {
   std::string kernel_name;
   std::string engine = "sim";
-  std::string scheduler = "chase_lev";
+  rt::SchedulerKind scheduler = rt::SchedulerKind::kChaseLev;
   std::string snapshot_path;
   std::string trace_path;
   std::string json_out;
@@ -424,6 +502,7 @@ int cmd_diagnose(int argc, char** argv) {
   config.threads = 4;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (parse_kernel_option(arg, config)) continue;
     auto value_of = [&arg](const char* prefix) {
       return arg.substr(std::strlen(prefix));
     };
@@ -432,25 +511,9 @@ int cmd_diagnose(int argc, char** argv) {
     } else if (arg.rfind("--engine=", 0) == 0) {
       engine = value_of("--engine=");
     } else if (arg.rfind("--scheduler=", 0) == 0) {
-      scheduler = value_of("--scheduler=");
+      if (!parse_scheduler(value_of("--scheduler="), &scheduler)) return 2;
     } else if (arg.rfind("--repeat=", 0) == 0) {
       repeat = std::stoi(value_of("--repeat="));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      config.threads = std::stoi(value_of("--threads="));
-    } else if (arg == "--size=test") {
-      config.size = bots::SizeClass::kTest;
-    } else if (arg == "--size=small") {
-      config.size = bots::SizeClass::kSmall;
-    } else if (arg == "--size=medium") {
-      config.size = bots::SizeClass::kMedium;
-    } else if (arg == "--cutoff") {
-      config.cutoff = true;
-    } else if (arg == "--untied") {
-      config.untied = true;
-    } else if (arg == "--depth-params") {
-      config.depth_parameter = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      config.seed = std::stoull(value_of("--seed="));
     } else if (arg.rfind("--trace-file=", 0) == 0) {
       trace_path = value_of("--trace-file=");
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -501,26 +564,9 @@ int cmd_diagnose(int argc, char** argv) {
         std::fprintf(stderr, "unknown kernel: %s\n", kernel_name.c_str());
         return 2;
       }
-      std::unique_ptr<rt::Runtime> runtime;
-      if (engine == "sim") {
-        runtime = std::make_unique<rt::SimRuntime>();
-      } else if (engine == "real") {
-        rt::RealConfig real_config;
-        if (scheduler == "chase_lev") {
-          real_config.scheduler = rt::SchedulerKind::kChaseLev;
-        } else if (scheduler == "mutex_deque") {
-          real_config.scheduler = rt::SchedulerKind::kMutexDeque;
-        } else if (scheduler == "taskgraph") {
-          real_config.scheduler = rt::SchedulerKind::kTaskGraph;
-        } else {
-          std::fprintf(stderr, "unknown scheduler: %s\n", scheduler.c_str());
-          return 2;
-        }
-        runtime = std::make_unique<rt::RealRuntime>(real_config);
-      } else {
-        std::fprintf(stderr, "unknown engine: %s\n", engine.c_str());
-        return 2;
-      }
+      const std::unique_ptr<rt::Runtime> runtime =
+          make_runtime(engine, scheduler, rt::Topology{});
+      if (runtime == nullptr) return 2;
       // A diagnose run always records everything the detectors can use:
       // profile, trace, and telemetry.
       Instrumentor instrumentor(registry, MeasureOptions{});
@@ -562,20 +608,8 @@ int cmd_diagnose(int argc, char** argv) {
         input.trace = &recorded;
       }
     } else {
-      // Trace only: region names are not stored in the trace file, so
-      // run against a registry of generated names (same as
-      // --analyze-trace).
       recorded = trace::read_trace_file(trace_path);
-      RegionHandle max_region = 0;
-      for (const auto& event : recorded.merged()) {
-        if (event.region != kInvalidRegion) {
-          max_region = std::max(max_region, event.region);
-        }
-      }
-      for (RegionHandle r = 0; r <= max_region; ++r) {
-        registry.register_region("region " + std::to_string(r),
-                                 RegionType::kTask);
-      }
+      register_trace_regions(recorded, registry);
       input.registry = &registry;
       input.trace = &recorded;
     }
@@ -591,14 +625,7 @@ int cmd_diagnose(int argc, char** argv) {
     std::fputs(os.str().c_str(), stdout);
   }
   if (!json_out.empty()) {
-    const std::string json = diag::render_diagnosis_json(report);
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    if (!write_file(json_out, diag::render_diagnosis_json(report))) return 1;
     std::printf("diagnosis JSON written to %s\n", json_out.c_str());
   }
   if (!chrome_out.empty() && input.trace != nullptr) {
@@ -678,6 +705,7 @@ int cmd_whatif(int argc, char** argv) {
   config.threads = 4;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (parse_kernel_option(arg, config)) continue;
     auto value_of = [&arg](const char* prefix) {
       return arg.substr(std::strlen(prefix));
     };
@@ -685,27 +713,11 @@ int cmd_whatif(int argc, char** argv) {
       kernel_name = value_of("--kernel=");
     } else if (arg.rfind("--engine=", 0) == 0) {
       engine = value_of("--engine=");
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      config.threads = std::stoi(value_of("--threads="));
     } else if (arg.rfind("--threads-list=", 0) == 0) {
       if (!parse_int_list(value_of("--threads-list="), &thread_counts)) {
         std::fprintf(stderr, "--threads-list wants e.g. 2,4,8\n");
         return 2;
       }
-    } else if (arg == "--size=test") {
-      config.size = bots::SizeClass::kTest;
-    } else if (arg == "--size=small") {
-      config.size = bots::SizeClass::kSmall;
-    } else if (arg == "--size=medium") {
-      config.size = bots::SizeClass::kMedium;
-    } else if (arg == "--cutoff") {
-      config.cutoff = true;
-    } else if (arg == "--untied") {
-      config.untied = true;
-    } else if (arg == "--depth-params") {
-      config.depth_parameter = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      config.seed = std::stoull(value_of("--seed="));
     } else if (arg.rfind("--trace-file=", 0) == 0) {
       trace_path = value_of("--trace-file=");
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -765,15 +777,9 @@ int cmd_whatif(int argc, char** argv) {
         std::fprintf(stderr, "unknown kernel: %s\n", kernel_name.c_str());
         return 2;
       }
-      std::unique_ptr<rt::Runtime> runtime;
-      if (engine == "sim") {
-        runtime = std::make_unique<rt::SimRuntime>();
-      } else if (engine == "real") {
-        runtime = std::make_unique<rt::RealRuntime>();
-      } else {
-        std::fprintf(stderr, "unknown engine: %s\n", engine.c_str());
-        return 2;
-      }
+      const std::unique_ptr<rt::Runtime> runtime =
+          make_runtime(engine, rt::SchedulerKind::kChaseLev, rt::Topology{});
+      if (runtime == nullptr) return 2;
       Instrumentor instrumentor(registry, MeasureOptions{});
       trace::TraceRecorder recorder;
       rt::FanoutHooks fanout;
@@ -804,18 +810,8 @@ int cmd_whatif(int argc, char** argv) {
       }
       recorded = trace::read_trace_file(trace_path);
     } else {
-      // Trace only: generated region names (names are not in the file).
       recorded = trace::read_trace_file(trace_path);
-      RegionHandle max_region = 0;
-      for (const auto& event : recorded.merged()) {
-        if (event.region != kInvalidRegion) {
-          max_region = std::max(max_region, event.region);
-        }
-      }
-      for (RegionHandle r = 0; r <= max_region; ++r) {
-        registry.register_region("region " + std::to_string(r),
-                                 RegionType::kTask);
-      }
+      register_trace_regions(recorded, registry);
     }
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s\n", error.what());
@@ -850,14 +846,7 @@ int cmd_whatif(int argc, char** argv) {
     std::fputs(os.str().c_str(), stdout);
   }
   if (!json_out.empty()) {
-    const std::string json = whatif::render_whatif_json(report);
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    if (!write_file(json_out, whatif::render_whatif_json(report))) return 1;
     std::printf("whatif JSON written to %s\n", json_out.c_str());
   }
   return 0;
@@ -930,14 +919,7 @@ int cmd_whatif_validate(int argc, char** argv) {
     std::fputs(os.str().c_str(), stdout);
   }
   if (!json_out.empty()) {
-    const std::string json = whatif::render_validate_json(report);
-    std::FILE* f = std::fopen(json_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    if (!write_file(json_out, whatif::render_validate_json(report))) return 1;
     std::printf("validation JSON written to %s\n", json_out.c_str());
   }
   return report.all_within() ? 0 : 3;
@@ -973,19 +955,8 @@ int main(int argc, char** argv) {
       const trace::Trace loaded = trace::read_trace_file(cli.analyze_trace);
       std::printf("loaded %zu events from %zu threads\n",
                   loaded.event_count(), loaded.thread_count());
-      // Region names are not stored in the trace file; analyses that need
-      // them use a registry with generated names.
       RegionRegistry names;
-      RegionHandle max_region = 0;
-      for (const auto& event : loaded.merged()) {
-        if (event.region != kInvalidRegion) {
-          max_region = std::max(max_region, event.region);
-        }
-      }
-      for (RegionHandle r = 0; r <= max_region; ++r) {
-        names.register_region("region " + std::to_string(r),
-                              RegionType::kTask);
-      }
+      register_trace_regions(loaded, names);
       const trace::TraceAnalysis analysis = trace::analyze_trace(loaded);
       std::fputs(trace::render_analysis(analysis, names).c_str(), stdout);
       std::fputs(trace::render_timeline(loaded).c_str(), stdout);
@@ -1010,36 +981,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::unique_ptr<rt::Runtime> runtime;
-  rt::RealRuntime* real_runtime = nullptr;
-  if (cli.engine == "sim") {
-    if (cli.scheduler != "chase_lev") {
-      std::fprintf(stderr, "--scheduler applies to --engine=real only\n");
-      return 2;
-    }
-    rt::SimConfig sim_config;
-    sim_config.topology = topology;
-    runtime = std::make_unique<rt::SimRuntime>(sim_config);
-  } else if (cli.engine == "real") {
-    rt::RealConfig config;
-    config.topology = topology;
-    if (cli.scheduler == "chase_lev") {
-      config.scheduler = rt::SchedulerKind::kChaseLev;
-    } else if (cli.scheduler == "mutex_deque") {
-      config.scheduler = rt::SchedulerKind::kMutexDeque;
-    } else if (cli.scheduler == "taskgraph") {
-      config.scheduler = rt::SchedulerKind::kTaskGraph;
-    } else {
-      std::fprintf(stderr, "unknown scheduler: %s\n", cli.scheduler.c_str());
-      return 2;
-    }
-    auto real = std::make_unique<rt::RealRuntime>(config);
-    real_runtime = real.get();
-    runtime = std::move(real);
-  } else {
-    std::fprintf(stderr, "unknown engine: %s\n", cli.engine.c_str());
+  if (cli.engine == "sim" && cli.scheduler != rt::SchedulerKind::kChaseLev) {
+    std::fprintf(stderr, "--scheduler applies to --engine=real only\n");
     return 2;
   }
+  const std::unique_ptr<rt::Runtime> runtime =
+      make_runtime(cli.engine, cli.scheduler, topology);
+  if (runtime == nullptr) return 2;
 
   RegionRegistry registry;
   std::unique_ptr<Instrumentor> instrumentor;
@@ -1109,7 +1057,9 @@ int main(int argc, char** argv) {
   }
   runtime->set_hooks(nullptr);
   runtime->set_telemetry(nullptr);
-  if (real_runtime != nullptr && cli.scheduler == "taskgraph") {
+  if (cli.scheduler == rt::SchedulerKind::kTaskGraph) {
+    // Only the real engine accepts a scheduler other than chase_lev.
+    const auto* real_runtime = static_cast<rt::RealRuntime*>(runtime.get());
     if (real_runtime->taskgraph_stale()) {
       std::printf("taskgraph: %zu nodes recorded, %d replay run(s), "
                   "diverged (fell back to chase_lev; cause: %s)\n",
@@ -1176,14 +1126,10 @@ int main(int argc, char** argv) {
   if (telem != nullptr) {
     std::fputs(render_telemetry(telemetry_snapshot).c_str(), stdout);
     if (!cli.telemetry_json.empty()) {
-      std::FILE* f = std::fopen(cli.telemetry_json.c_str(), "wb");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", cli.telemetry_json.c_str());
+      if (!write_file(cli.telemetry_json,
+                      telemetry::snapshot_to_json(telemetry_snapshot))) {
         return 1;
       }
-      const std::string json = telemetry::snapshot_to_json(telemetry_snapshot);
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
       std::printf("telemetry snapshot written to %s\n",
                   cli.telemetry_json.c_str());
     }
@@ -1234,17 +1180,15 @@ int main(int argc, char** argv) {
     std::fputs(render_csv(profile, registry).c_str(), stdout);
   }
   if (cli.report == "findings" || cli.report == "all") {
-    std::fputs(render_findings(diagnose(profile, registry)).c_str(), stdout);
+    std::ostringstream os;
+    diag::render_diagnosis_text(diag::run_diagnosis({&profile, &registry}),
+                                os);
+    std::fputs(os.str().c_str(), stdout);
   }
   if (!cli.report_json.empty()) {
-    const std::string json = render_report_json(profile, registry);
-    std::FILE* f = std::fopen(cli.report_json.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", cli.report_json.c_str());
+    if (!write_file(cli.report_json, render_report_json(profile, registry))) {
       return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("report JSON written to %s\n", cli.report_json.c_str());
   }
   return result.ok ? 0 : 1;

@@ -70,6 +70,38 @@ std::string format_count(std::uint64_t n) {
   return out;
 }
 
+void append_json_string(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+void append_json_double(std::string* out, double value) {
+  if (!std::isfinite(value)) {
+    *out += "null";
+    return;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6g", value);
+  *out += buf;
+}
+
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header)) {
   TASKPROF_ASSERT(!header_.empty(), "table needs at least one column");

@@ -1,12 +1,17 @@
-// Human-readable formatting of ticks and aligned text tables.
+// Human-readable formatting of ticks and aligned text tables, and the
+// JSON scalar encoders.
 //
 // The report writer and every bench binary print call trees and
 // paper-style tables; they share these helpers so all output formats
-// numbers identically.
+// numbers identically.  Every JSON writer (report, diagnose, whatif,
+// Chrome trace, bench results) encodes strings and doubles through
+// append_json_string / append_json_double, so identical values
+// serialize to identical bytes everywhere.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -25,6 +30,14 @@ namespace taskprof {
 
 /// Format a count with thousands separators, e.g. "3,690,000,000".
 [[nodiscard]] std::string format_count(std::uint64_t n);
+
+/// Append `s` as a quoted JSON string: quote, backslash and control
+/// characters are escaped (\n and \t by name, the rest as \u00XX).
+void append_json_string(std::string* out, std::string_view s);
+
+/// Append `value` as a JSON number with %.6g; NaN and infinities, which
+/// JSON cannot express, become `null`.
+void append_json_double(std::string* out, double value);
 
 /// Minimal aligned-column table used by benches and the report writer.
 ///

@@ -337,6 +337,41 @@ void detect_starved_workers(const DetectorContext& ctx,
 }
 
 // ---------------------------------------------------------------------------
+// barrier_idle: the paper's §VI barrier check on the profile alone —
+// threads sit in barriers without executing tasks for a large share of
+// the parallel region.  With a trace, starved_workers measures the same
+// idleness per thread and against the logical parallelism, so this
+// detector stands down.
+// ---------------------------------------------------------------------------
+void detect_barrier_idle(const DetectorContext& ctx,
+                         std::vector<Diagnosis>* out) {
+  if (ctx.trace_analysis != nullptr) return;
+  const SchedulingPointSummary& sched = ctx.scheduling;
+  if (sched.parallel_inclusive <= 0) return;  // no profile, or no region
+  const double fraction = static_cast<double>(sched.barrier_exclusive) /
+                          static_cast<double>(sched.parallel_inclusive);
+  if (fraction <= ctx.options.barrier_idle_fraction) return;
+
+  Diagnosis d;
+  d.detector = "barrier_idle";
+  d.severity = Severity::kWarning;
+  d.score = fraction;
+  d.summary = "barrier idle: threads spend " + percent(fraction) +
+              " of the parallel region in barriers without executing "
+              "tasks - task management overhead or load imbalance";
+  d.remediation =
+      "expose more, evenly sized tasks before the barrier (split the "
+      "largest tasks, adjust the cut-off) or run with fewer threads; "
+      "record a trace to see which threads starve";
+  add_metric(&d, "barrier_idle_fraction", fraction, "ratio");
+  add_metric(&d, "barrier_exclusive",
+             static_cast<double>(sched.barrier_exclusive), "ns");
+  add_metric(&d, "parallel_inclusive",
+             static_cast<double>(sched.parallel_inclusive), "ns");
+  out->push_back(std::move(d));
+}
+
+// ---------------------------------------------------------------------------
 // granularity_collapse: the paper's §VI diagnosis, generalized per
 // parameter/depth — creation cost overtakes body work, catastrophically
 // so in the recursion tail.
@@ -612,6 +647,7 @@ const std::vector<Detector>& detector_registry() {
       {"creation_storm", detect_creation_storm},
       {"serialized_spawn_chain", detect_serialized_spawn_chain},
       {"starved_workers", detect_starved_workers},
+      {"barrier_idle", detect_barrier_idle},
       {"granularity_collapse", detect_granularity_collapse},
       {"taskwait_serialization", detect_taskwait_serialization},
       {"replay_fallback", detect_replay_fallback},

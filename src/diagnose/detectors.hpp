@@ -17,7 +17,7 @@ namespace taskprof::diag {
 struct DetectorContext {
   const DiagnosisInput& input;
   const DiagnoseOptions& options;
-  /// From report/analysis over the profile (always present).
+  /// From report/analysis over the profile (empty without one).
   const std::vector<TaskConstructStats>& constructs;
   const SchedulingPointSummary& scheduling;
   int threads = 0;
@@ -43,6 +43,8 @@ void detect_serialized_spawn_chain(const DetectorContext& ctx,
                                    std::vector<Diagnosis>* out);
 void detect_starved_workers(const DetectorContext& ctx,
                             std::vector<Diagnosis>* out);
+void detect_barrier_idle(const DetectorContext& ctx,
+                         std::vector<Diagnosis>* out);
 void detect_granularity_collapse(const DetectorContext& ctx,
                                  std::vector<Diagnosis>* out);
 void detect_taskwait_serialization(const DetectorContext& ctx,

@@ -9,11 +9,12 @@
 // both: it consumes a finalized profile plus (optionally) a recorded
 // trace and a telemetry snapshot, computes work/span over reconstructed
 // task lifetimes, and runs a registry of detectors — creation storm,
-// serialized spawn chain, starved workers, granularity collapse, taskwait
-// serialization, replay fallback — each emitting a ranked Diagnosis with
-// the offending call path(s), the supporting numbers, and a remediation
-// hint.  Renderers (render.hpp) turn the report into text, stable JSON,
-// and Chrome-trace instant events.
+// serialized spawn chain, starved workers (barrier idle when there is no
+// trace), granularity collapse, taskwait serialization, replay fallback —
+// each emitting a ranked Diagnosis with the offending call path(s), the
+// supporting numbers, and a remediation hint.  Renderers (render.hpp)
+// turn the report into text, stable JSON, and Chrome-trace instant
+// events.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +90,11 @@ struct DiagnoseOptions {
   /// Starvation is only a diagnosis when parallelism actually fell
   /// short: logical parallelism below threads * this fraction.
   double starved_parallelism_fraction = 0.5;
+
+  // barrier_idle: the profile-only stand-in for starved_workers — barrier
+  // time spent not executing tasks, as a fraction of the parallel region
+  // summed over threads (the paper's §VI "idle at the barrier" check).
+  double barrier_idle_fraction = 0.25;
 
   // granularity_collapse: §VI generalized per parameter/depth.
   Ticks small_task_threshold = 10 * kTicksPerUs;  ///< paper's "too small"

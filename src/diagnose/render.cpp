@@ -11,33 +11,6 @@ namespace {
 
 constexpr int kSchemaVersion = 1;
 
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void append_double(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  *out += buf;
-}
-
 }  // namespace
 
 void render_diagnosis_text(const DiagnosisReport& report, std::ostream& os) {
@@ -106,7 +79,7 @@ std::string render_diagnosis_json(const DiagnosisReport& report) {
     out += ",\n    \"span_length\": ";
     out += std::to_string(ws.span_length);
     out += ",\n    \"logical_parallelism\": ";
-    append_double(&out, ws.logical_parallelism());
+    append_json_double(&out, ws.logical_parallelism());
     out += ",\n    \"span_shares\": [";
     for (std::size_t i = 0; i < ws.shares.size(); ++i) {
       const ConstructSpanShare& share = ws.shares[i];
@@ -122,52 +95,59 @@ std::string render_diagnosis_json(const DiagnosisReport& report) {
     out += ws.shares.empty() ? "]\n  }" : "\n    ]\n  }";
   }
 
-  out += ",\n  \"findings\": [";
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    const Diagnosis& d = report.findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\n      \"detector\": ";
-    append_json_string(&out, d.detector);
-    out += ",\n      \"severity\": ";
-    append_json_string(&out, severity_name(d.severity));
-    out += ",\n      \"score\": ";
-    append_double(&out, d.score);
-    out += ",\n      \"summary\": ";
-    append_json_string(&out, d.summary);
-    out += ",\n      \"remediation\": ";
-    append_json_string(&out, d.remediation);
-    out += ",\n      \"sites\": [";
+  out += ",\n  ";
+  append_findings_json(&out, report.findings);
+  out += "\n}\n";
+  return out;
+}
+
+void append_findings_json(std::string* out,
+                          const std::vector<Diagnosis>& findings) {
+  *out += "\"findings\": [";
+  for (std::size_t i = 0; i < findings.size(); ++i) {
+    const Diagnosis& d = findings[i];
+    *out += i == 0 ? "\n" : ",\n";
+    *out += "    {\n      \"detector\": ";
+    append_json_string(out, d.detector);
+    *out += ",\n      \"severity\": ";
+    append_json_string(out, severity_name(d.severity));
+    *out += ",\n      \"score\": ";
+    append_json_double(out, d.score);
+    *out += ",\n      \"summary\": ";
+    append_json_string(out, d.summary);
+    *out += ",\n      \"remediation\": ";
+    append_json_string(out, d.remediation);
+    *out += ",\n      \"sites\": [";
     for (std::size_t j = 0; j < d.sites.size(); ++j) {
       const CallSite& site = d.sites[j];
-      out += j == 0 ? "" : ", ";
-      out += "{\"name\": ";
-      append_json_string(&out, site.name);
-      out += ", \"file\": ";
-      append_json_string(&out, site.file);
-      out += ", \"line\": ";
-      out += std::to_string(site.line);
-      out += "}";
+      *out += j == 0 ? "" : ", ";
+      *out += "{\"name\": ";
+      append_json_string(out, site.name);
+      *out += ", \"file\": ";
+      append_json_string(out, site.file);
+      *out += ", \"line\": ";
+      *out += std::to_string(site.line);
+      *out += "}";
     }
-    out += "],\n      \"metrics\": [";
+    *out += "],\n      \"metrics\": [";
     for (std::size_t j = 0; j < d.metrics.size(); ++j) {
       const Metric& m = d.metrics[j];
-      out += j == 0 ? "" : ", ";
-      out += "{\"name\": ";
-      append_json_string(&out, m.name);
-      out += ", \"value\": ";
-      append_double(&out, m.value);
-      out += ", \"unit\": ";
-      append_json_string(&out, m.unit);
-      out += "}";
+      *out += j == 0 ? "" : ", ";
+      *out += "{\"name\": ";
+      append_json_string(out, m.name);
+      *out += ", \"value\": ";
+      append_json_double(out, m.value);
+      *out += ", \"unit\": ";
+      append_json_string(out, m.unit);
+      *out += "}";
     }
-    out += "],\n      \"at_ns\": ";
-    out += std::to_string(d.at);
-    out += ",\n      \"thread\": ";
-    out += std::to_string(d.thread);
-    out += "\n    }";
+    *out += "],\n      \"at_ns\": ";
+    *out += std::to_string(d.at);
+    *out += ",\n      \"thread\": ";
+    *out += std::to_string(d.thread);
+    *out += "\n    }";
   }
-  out += report.findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  *out += findings.empty() ? "]" : "\n  ]";
 }
 
 std::vector<trace::TraceAnnotation> diagnosis_annotations(

@@ -19,6 +19,13 @@ void render_diagnosis_text(const DiagnosisReport& report, std::ostream& os);
 /// reports serialize to identical bytes.
 [[nodiscard]] std::string render_diagnosis_json(const DiagnosisReport& report);
 
+/// Append the `"findings": [...]` member exactly as render_diagnosis_json
+/// writes it (as a top-level member of its object).  render_report_json
+/// emits its findings through this too, so both documents share one
+/// findings schema.
+void append_findings_json(std::string* out,
+                          const std::vector<Diagnosis>& findings);
+
 /// Diagnosis findings as timeline annotations (Chrome trace instant
 /// events); feed to ChromeExportOptions::annotations.  Findings with no
 /// trace-time anchor are pinned to t=0.

@@ -1,48 +1,14 @@
 #include "report/json_report.hpp"
 
-#include <cstdio>
+#include "common/format.hpp"
+#include "diagnose/diagnose.hpp"
+#include "diagnose/render.hpp"
 
 namespace taskprof {
 
 namespace {
 
-constexpr int kSchemaVersion = 1;
-
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void append_double(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  *out += buf;
-}
-
-const char* advisor_severity_name(Finding::Severity severity) {
-  switch (severity) {
-    case Finding::Severity::kInfo: return "info";
-    case Finding::Severity::kWarning: return "warning";
-    case Finding::Severity::kProblem: return "problem";
-  }
-  return "?";
-}
+constexpr int kSchemaVersion = 2;
 
 }  // namespace
 
@@ -74,7 +40,7 @@ std::string render_report_json(const AggregateProfile& profile,
     out += ", \"inclusive_total_ns\": ";
     out += std::to_string(c.inclusive_total);
     out += ", \"inclusive_mean_ns\": ";
-    append_double(&out, c.inclusive_mean);
+    append_json_double(&out, c.inclusive_mean);
     out += ", \"inclusive_min_ns\": ";
     out += std::to_string(c.inclusive_min);
     out += ", \"inclusive_max_ns\": ";
@@ -86,7 +52,7 @@ std::string render_report_json(const AggregateProfile& profile,
     out += ", \"create_total_ns\": ";
     out += std::to_string(c.create_total);
     out += ", \"create_mean_ns\": ";
-    append_double(&out, c.create_mean);
+    append_json_double(&out, c.create_mean);
     out += ", \"taskwait_total_ns\": ";
     out += std::to_string(c.taskwait_total);
     out += ", \"taskwaits\": ";
@@ -113,17 +79,10 @@ std::string render_report_json(const AggregateProfile& profile,
   out += std::to_string(sched.parallel_inclusive);
   out += "\n  }";
 
-  out += ",\n  \"findings\": [";
-  const std::vector<Finding> findings = diagnose(profile, registry);
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"severity\": ";
-    append_json_string(&out, advisor_severity_name(findings[i].severity));
-    out += ", \"message\": ";
-    append_json_string(&out, findings[i].message);
-    out += "}";
-  }
-  out += findings.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  out += ",\n  ";
+  diag::append_findings_json(
+      &out, diag::run_diagnosis({&profile, &registry}).findings);
+  out += "\n}\n";
   return out;
 }
 

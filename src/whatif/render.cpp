@@ -1,6 +1,6 @@
 #include "whatif/render.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 
 #include "common/format.hpp"
@@ -10,37 +10,6 @@ namespace taskprof::whatif {
 namespace {
 
 constexpr int kSchemaVersion = 1;
-
-void append_json_string(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void append_double(std::string* out, double value) {
-  if (!std::isfinite(value)) {
-    *out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  *out += buf;
-}
 
 std::string fixed(double value, int places) {
   char buf[64];
@@ -55,31 +24,31 @@ void append_projection_json(std::string* out, const Projection& p,
   *out += in + "  \"target\": ";
   append_json_string(out, p.target);
   *out += ",\n" + in + "  \"speedup_percent\": ";
-  append_double(out, p.fraction * 100.0);
+  append_json_double(out, p.fraction * 100.0);
   *out += ",\n" + in + "  \"scalable_ns\": " + std::to_string(p.scalable);
   *out += ",\n" + in + "  \"scalable_on_span_ns\": " +
           std::to_string(p.scalable_on_span);
   *out += ",\n" + in + "  \"share\": ";
-  append_double(out, p.share);
+  append_json_double(out, p.share);
   *out += ",\n" + in + "  \"amdahl_bound\": ";
-  append_double(out, p.bound);
+  append_json_double(out, p.bound);
   *out += ",\n" + in + "  \"work_after_ns\": " + std::to_string(p.work_after);
   *out += ",\n" + in + "  \"span_after_ns\": " + std::to_string(p.span_after);
   *out += ",\n" + in + "  \"span_length_after\": " +
           std::to_string(p.span_length_after);
   *out += ",\n" + in + "  \"parallelism_after\": ";
-  append_double(out, p.parallelism_after);
+  append_json_double(out, p.parallelism_after);
   *out += ",\n" + in + "  \"at_threads\": [";
   for (std::size_t i = 0; i < p.at_threads.size(); ++i) {
     const ThreadProjection& tp = p.at_threads[i];
     *out += i == 0 ? "\n" : ",\n";
     *out += in + "    {\"threads\": " + std::to_string(tp.threads);
     *out += ", \"time_before_ns\": ";
-    append_double(out, tp.time_before);
+    append_json_double(out, tp.time_before);
     *out += ", \"time_after_ns\": ";
-    append_double(out, tp.time_after);
+    append_json_double(out, tp.time_after);
     *out += ", \"speedup\": ";
-    append_double(out, tp.speedup);
+    append_json_double(out, tp.speedup);
     *out += "}";
   }
   *out += p.at_threads.empty() ? "]" : "\n" + in + "  ]";
@@ -159,7 +128,7 @@ std::string render_whatif_json(const Report& report) {
   out += ",\n  \"span_ns\": " + std::to_string(report.span);
   out += ",\n  \"span_length\": " + std::to_string(report.span_length);
   out += ",\n  \"logical_parallelism\": ";
-  append_double(&out, report.logical_parallelism);
+  append_json_double(&out, report.logical_parallelism);
   out += ",\n  \"measured_threads\": " +
          std::to_string(report.measured_threads);
   out += ",\n  \"scaling_basis\": ";

@@ -1,19 +1,24 @@
 // The diagnosis engine: every seeded anti-pattern shape must be flagged
 // by its detector (at problem severity, pointing at the offending
-// construct), the clean shape must stay finding-free, and work/span
-// must add up over a trace of several parallel regions.
+// construct), the clean shape must stay finding-free, work/span must add
+// up over a trace of several parallel regions, the paper's §VI checks
+// must fire on a profile alone, and --report-json must carry the same
+// findings as the diagnosis JSON.
 #include "diagnose/diagnose.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
+#include <tuple>
 
 #include "bots/kernel.hpp"
 #include "check/shapes.hpp"
 #include "diagnose/detectors.hpp"
 #include "diagnose/render.hpp"
 #include "instrument/instrumentor.hpp"
+#include "report/json_report.hpp"
 #include "rt/sim_runtime.hpp"
 #include "trace/analysis.hpp"
 #include "trace/recorder.hpp"
@@ -135,6 +140,156 @@ TEST(Diagnose, RepeatedRegionsTripleWorkAndKeepParallelism) {
               one.workspan.logical_parallelism(),
               0.01 * one.workspan.logical_parallelism());
   EXPECT_EQ(three.workspan.span_length, 3 * one.workspan.span_length);
+}
+
+/// `count` tasks of `task_work` ns each, created by one thread of the
+/// team, which then waits for them: the §VI granularity workload.
+struct FlatRun {
+  RegionRegistry registry;
+  RegionHandle task =
+      registry.register_region("tiny_task", RegionType::kTask);
+  AggregateProfile profile;
+  trace::Trace trace;
+
+  [[nodiscard]] diag::DiagnosisInput profile_only() const {
+    return {&profile, &registry};
+  }
+};
+
+std::unique_ptr<FlatRun> record_flat(int count, Ticks task_work,
+                                     int threads = 2) {
+  auto out = std::make_unique<FlatRun>();
+  rt::SimRuntime runtime;
+  Instrumentor instrumentor(out->registry, MeasureOptions{});
+  trace::TraceRecorder recorder;
+  rt::FanoutHooks fanout;
+  fanout.add(&instrumentor);
+  fanout.add(&recorder);
+  runtime.set_hooks(&fanout);
+  const RegionHandle task = out->task;
+  runtime.parallel(threads, [&](rt::TaskContext& ctx) {
+    if (!ctx.single()) return;
+    for (int i = 0; i < count; ++i) {
+      rt::TaskAttrs attrs;
+      attrs.region = task;
+      ctx.create_task(
+          [task_work](rt::TaskContext& c) { c.work(task_work); }, attrs);
+    }
+    ctx.taskwait();
+  });
+  runtime.set_hooks(nullptr);
+  instrumentor.finalize();
+  out->profile = instrumentor.aggregate();
+  out->trace = recorder.take();
+  return out;
+}
+
+TEST(Diagnose, TinyTasksAreFlaggedFromTheProfile) {
+  // 300 ns bodies, far under the paper's 10 us "too small" line, against
+  // microseconds of creation cost: flagged at the task.  (The calibrated
+  // floor keeps bodies this size at a warning, as for fib; see
+  // DiagnoseOptions::collapse_floor.)
+  const auto run = record_flat(100, 300);
+  const diag::DiagnosisReport report =
+      diag::run_diagnosis(run->profile_only());
+  const diag::Diagnosis* d = find_detector(report, "granularity_collapse");
+  ASSERT_NE(d, nullptr);
+  EXPECT_GE(d->severity, diag::Severity::kWarning);
+  ASSERT_FALSE(d->sites.empty());
+  EXPECT_EQ(d->sites.front().region, run->task);
+  EXPECT_NE(d->remediation.find("cut-off"), std::string::npos);
+}
+
+TEST(Diagnose, CoarseTasksAreNotFlagged) {
+  // 1 ms tasks: creation is negligible.
+  const auto run = record_flat(16, 1'000'000);
+  const diag::DiagnosisReport report =
+      diag::run_diagnosis(run->profile_only());
+  EXPECT_EQ(find_detector(report, "granularity_collapse"), nullptr);
+  EXPECT_EQ(report.count_at_least(diag::Severity::kProblem), 0u);
+}
+
+TEST(Diagnose, CreationDominatedTasksReportCreateToBodyRatio) {
+  const auto run = record_flat(200, 100);
+  const diag::DiagnosisReport report =
+      diag::run_diagnosis(run->profile_only());
+  const diag::Diagnosis* d = find_detector(report, "granularity_collapse");
+  ASSERT_NE(d, nullptr);
+  EXPECT_NE(d->summary.find("creation cost"), std::string::npos);
+  const auto ratio = std::find_if(
+      d->metrics.begin(), d->metrics.end(),
+      [](const diag::Metric& m) { return m.name == "create_to_body_ratio"; });
+  ASSERT_NE(ratio, d->metrics.end());
+  EXPECT_GT(ratio->value, 1.0);
+}
+
+TEST(Diagnose, BarrierIdleFiresOnProfileOnlyInput) {
+  // One 1 ms task on a team of four: one thread runs it, its creator
+  // waits in taskwait, and the other two sit in the barrier for the
+  // whole region -- half the summed parallel time.
+  const auto run = record_flat(1, 1'000'000, 4);
+  const diag::DiagnosisReport report =
+      diag::run_diagnosis(run->profile_only());
+  const diag::Diagnosis* d = find_detector(report, "barrier_idle");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, diag::Severity::kWarning);
+  EXPECT_NEAR(d->score, 0.5, 0.01);
+  EXPECT_EQ(d->metrics.front().name, "barrier_idle_fraction");
+
+  // The threshold is the option's: at the measured fraction the detector
+  // stays silent.
+  diag::DiagnoseOptions options;
+  options.barrier_idle_fraction = d->score;
+  EXPECT_EQ(find_detector(diag::run_diagnosis(run->profile_only(), options),
+                          "barrier_idle"),
+            nullptr);
+}
+
+TEST(Diagnose, BarrierIdleStandsDownWhenTheRunHasATrace) {
+  const auto run = record_flat(1, 1'000'000, 4);
+  diag::DiagnosisInput input = run->profile_only();
+  input.trace = &run->trace;
+  const diag::DiagnosisReport report = diag::run_diagnosis(input);
+  EXPECT_TRUE(report.has_workspan);
+  EXPECT_EQ(find_detector(report, "barrier_idle"), nullptr);
+}
+
+TEST(Diagnose, TextReportTagsEverySeverity) {
+  diag::DiagnosisReport report;
+  for (const auto& [severity, detector, summary] :
+       {std::tuple{diag::Severity::kProblem, "c", "gamma"},
+        std::tuple{diag::Severity::kWarning, "b", "beta"},
+        std::tuple{diag::Severity::kInfo, "a", "alpha"}}) {
+    diag::Diagnosis d;
+    d.severity = severity;
+    d.detector = detector;
+    d.summary = summary;
+    report.findings.push_back(std::move(d));
+  }
+  std::ostringstream os;
+  diag::render_diagnosis_text(report, os);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("worst severity problem"), std::string::npos) << out;
+  EXPECT_NE(out.find("[info] a: alpha"), std::string::npos) << out;
+  EXPECT_NE(out.find("[warning] b: beta"), std::string::npos) << out;
+  EXPECT_NE(out.find("[problem] c: gamma"), std::string::npos) << out;
+}
+
+TEST(Diagnose, ReportJsonSharesTheDiagnosisFindingsSchema) {
+  // fib at test size on four threads: a granularity warning and idle
+  // barriers, so the shared array holds more than one finding.
+  const std::unique_ptr<FibRun> fib = record_fib(1);
+  const std::string report = render_report_json(fib->profile, fib->registry);
+  const std::string diagnosis = diag::render_diagnosis_json(
+      diag::run_diagnosis({&fib->profile, &fib->registry}));
+  const auto findings_of = [](const std::string& json) {
+    const std::size_t at = json.find("\"findings\": [");
+    EXPECT_NE(at, std::string::npos) << json;
+    return at == std::string::npos ? std::string() : json.substr(at);
+  };
+  EXPECT_EQ(findings_of(report), findings_of(diagnosis));
+  EXPECT_NE(findings_of(report).find("\"barrier_idle\""), std::string::npos);
+  EXPECT_NE(report.find("\"schema_version\": 2,"), std::string::npos);
 }
 
 TEST(Diagnose, ReplayFallbackDetectorReadsTelemetryReasons) {

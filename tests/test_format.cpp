@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/types.hpp"
 
 namespace taskprof {
@@ -53,6 +56,24 @@ TEST(FormatCount, ThousandsSeparators) {
   EXPECT_EQ(format_count(1000), "1,000");
   EXPECT_EQ(format_count(3'690'000'000ULL), "3,690,000,000");
   EXPECT_EQ(format_count(73'700'000ULL), "73,700,000");
+}
+
+TEST(JsonEncode, EscapesQuotesBackslashesAndControlCharacters) {
+  std::string out;
+  append_json_string(&out, std::string("a\"b\\c\nd\te\x01" "f", 11));
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\u0001f\"");
+}
+
+TEST(JsonEncode, DoublesUseSixDigitsAndNullWhenNotFinite) {
+  std::string out;
+  append_json_double(&out, 2600.4234);
+  out += ' ';
+  append_json_double(&out, 8.46494e6);
+  out += ' ';
+  append_json_double(&out, std::numeric_limits<double>::infinity());
+  out += ' ';
+  append_json_double(&out, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(out, "2600.42 8.46494e+06 null null");
 }
 
 TEST(TextTable, AlignsColumns) {
