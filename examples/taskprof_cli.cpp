@@ -242,21 +242,6 @@ std::unique_ptr<rt::Runtime> make_runtime(const std::string& engine,
   return nullptr;
 }
 
-/// Region names are not stored in trace files: registers "region N" for
-/// every region handle up to the largest one `trace` mentions.
-void register_trace_regions(const trace::Trace& trace,
-                            RegionRegistry& registry) {
-  RegionHandle max_region = 0;
-  for (const auto& event : trace.merged()) {
-    if (event.region != kInvalidRegion) {
-      max_region = std::max(max_region, event.region);
-    }
-  }
-  for (RegionHandle r = 0; r <= max_region; ++r) {
-    registry.register_region("region " + std::to_string(r), RegionType::kTask);
-  }
-}
-
 /// Writes `content` to `path`; prints the error and returns false when
 /// the file cannot be opened.
 bool write_file(const std::string& path, const std::string& content) {
@@ -609,7 +594,6 @@ int cmd_diagnose(int argc, char** argv) {
       }
     } else {
       recorded = trace::read_trace_file(trace_path);
-      register_trace_regions(recorded, registry);
       input.registry = &registry;
       input.trace = &recorded;
     }
@@ -811,7 +795,6 @@ int cmd_whatif(int argc, char** argv) {
       recorded = trace::read_trace_file(trace_path);
     } else {
       recorded = trace::read_trace_file(trace_path);
-      register_trace_regions(recorded, registry);
     }
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s\n", error.what());
@@ -955,10 +938,9 @@ int main(int argc, char** argv) {
       const trace::Trace loaded = trace::read_trace_file(cli.analyze_trace);
       std::printf("loaded %zu events from %zu threads\n",
                   loaded.event_count(), loaded.thread_count());
-      RegionRegistry names;
-      register_trace_regions(loaded, names);
       const trace::TraceAnalysis analysis = trace::analyze_trace(loaded);
-      std::fputs(trace::render_analysis(analysis, names).c_str(), stdout);
+      std::fputs(trace::render_analysis(analysis, RegionRegistry{}).c_str(),
+                 stdout);
       std::fputs(trace::render_timeline(loaded).c_str(), stdout);
       return 0;
     } catch (const std::exception& error) {

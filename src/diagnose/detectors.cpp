@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/format.hpp"
 
@@ -61,13 +59,11 @@ std::string CallSite::label() const {
 CallSite resolve_site(const RegionRegistry& registry, RegionHandle region) {
   CallSite site;
   site.region = region;
+  site.name = registry.display_name(region);
   if (region != kInvalidRegion && region < registry.size()) {
     const RegionInfo& info = registry.info(region);
-    site.name = info.name;
     site.file = info.file;
     site.line = info.line;
-  } else {
-    site.name = "region " + std::to_string(region);
   }
   return site;
 }
@@ -75,73 +71,31 @@ CallSite resolve_site(const RegionRegistry& registry, RegionHandle region) {
 // ---------------------------------------------------------------------------
 // creation_storm: tasks created much faster than they start executing,
 // piling up an unbounded backlog (Tuft et al.'s "creation storm").  Needs
-// the time dimension, so it only runs with a trace.
+// the time dimension: it reads the backlog that analyze_trace replays.
 // ---------------------------------------------------------------------------
 void detect_creation_storm(const DetectorContext& ctx,
                            std::vector<Diagnosis>* out) {
-  if (ctx.input.trace == nullptr) return;
+  if (ctx.trace_analysis == nullptr) return;
   const DiagnoseOptions& opt = ctx.options;
-
-  std::uint64_t created = 0;
-  std::uint64_t begun = 0;
-  std::uint64_t peak_backlog = 0;
-  Ticks peak_time = 0;
-  ThreadId peak_thread = 0;
-  Ticks first_create = 0;
-  Ticks last_begin = 0;
-  bool any_create = false;
-  // Creations attributed per construct while the backlog is elevated —
-  // that names the storm's source rather than an innocent bystander.
-  const std::uint64_t elevated =
-      std::max<std::uint64_t>(ctx.threads > 0
-                                  ? static_cast<std::uint64_t>(ctx.threads) * 4
-                                  : 4,
-                              16);
-  std::map<RegionHandle, std::uint64_t> elevated_creates;
-
-  for (const trace::TraceEvent& event : ctx.input.trace->merged()) {
-    switch (event.kind) {
-      case trace::EventKind::kCreateEnd:
-        ++created;
-        if (!any_create) {
-          first_create = event.time;
-          any_create = true;
-        }
-        if (created - begun > peak_backlog) {
-          peak_backlog = created - begun;
-          peak_time = event.time;
-          peak_thread = event.thread;
-        }
-        if (created - begun >= elevated) {
-          elevated_creates[event.region] += 1;
-        }
-        break;
-      case trace::EventKind::kTaskBegin:
-        ++begun;
-        last_begin = event.time;
-        break;
-      default:
-        break;
-    }
-  }
-  if (created < opt.storm_min_creations) return;
+  const trace::CreationBacklog& backlog = ctx.trace_analysis->backlog;
+  if (backlog.creations < opt.storm_min_creations) return;
 
   const std::uint64_t threshold = std::max(
       opt.storm_backlog_floor,
       opt.storm_backlog_per_thread * static_cast<std::uint64_t>(ctx.threads));
-  if (peak_backlog < threshold / 2) return;
+  if (backlog.peak < threshold / 2) return;
 
   Diagnosis d;
   d.detector = "creation_storm";
   d.severity =
-      peak_backlog >= threshold ? Severity::kProblem : Severity::kWarning;
-  d.score = static_cast<double>(peak_backlog);
-  d.at = peak_time;
-  d.thread = peak_thread;
+      backlog.peak >= threshold ? Severity::kProblem : Severity::kWarning;
+  d.score = static_cast<double>(backlog.peak);
+  d.at = backlog.peak_time;
+  d.thread = backlog.peak_thread;
 
   RegionHandle worst = kInvalidRegion;
   std::uint64_t worst_count = 0;
-  for (const auto& [region, count] : elevated_creates) {
+  for (const auto& [region, count] : backlog.elevated_creations) {
     if (count > worst_count) {
       worst = region;
       worst_count = count;
@@ -153,23 +107,23 @@ void detect_creation_storm(const DetectorContext& ctx,
 
   std::ostringstream os;
   os << "creation storm: backlog of ready tasks peaked at "
-     << format_count(peak_backlog) << " (" << format_count(created)
+     << format_count(backlog.peak) << " (" << format_count(backlog.creations)
      << " created) - tasks are created far faster than they start";
   d.summary = os.str();
   d.remediation =
       "throttle task creation (e.g. a depth/if cut-off or taskloop "
       "grainsize) or let the creating thread execute work itself";
-  add_metric(&d, "peak_backlog", static_cast<double>(peak_backlog), "tasks");
-  add_metric(&d, "creations", static_cast<double>(created), "tasks");
+  add_metric(&d, "peak_backlog", static_cast<double>(backlog.peak), "tasks");
+  add_metric(&d, "creations", static_cast<double>(backlog.creations),
+             "tasks");
   add_metric(&d, "backlog_threshold", static_cast<double>(threshold),
              "tasks");
-  if (last_begin > first_create && created > 0) {
-    const double window_s = static_cast<double>(last_begin - first_create) /
-                            static_cast<double>(kTicksPerSec);
-    if (window_s > 0) {
-      add_metric(&d, "creation_rate", static_cast<double>(created) / window_s,
-                 "tasks/s");
-    }
+  if (backlog.last_begin > backlog.first_create) {
+    const double window_s =
+        static_cast<double>(backlog.last_begin - backlog.first_create) /
+        static_cast<double>(kTicksPerSec);
+    add_metric(&d, "creation_rate",
+               static_cast<double>(backlog.creations) / window_s, "tasks/s");
   }
   out->push_back(std::move(d));
 }
@@ -449,116 +403,21 @@ void detect_granularity_collapse(const DetectorContext& ctx,
 
 // ---------------------------------------------------------------------------
 // taskwait_serialization: spawn-wait-spawn-wait lockstep — a taskwait
-// after every spawn caps concurrency at one task in flight.
+// after every spawn caps concurrency at one task in flight.  Reads the
+// serialized stretches that analyze_trace replays.
 // ---------------------------------------------------------------------------
 void detect_taskwait_serialization(const DetectorContext& ctx,
                                    std::vector<Diagnosis>* out) {
-  if (ctx.input.trace == nullptr) return;
+  if (ctx.trace_analysis == nullptr) return;
   if (ctx.threads < 2) return;
   const DiagnoseOptions& opt = ctx.options;
-  const trace::Trace& trace = *ctx.input.trace;
-
-  // Merged-stream replay: per-thread "executing a task fragment" state
-  // (same transitions as trace::analyze_trace) plus taskwait nesting.
-  struct ThreadState {
-    TaskInstanceId current = kImplicitTaskId;
-    int taskwait_depth = 0;
-  };
-  std::vector<ThreadState> threads(trace.thread_count());
-  std::unordered_map<TaskInstanceId, RegionHandle> instance_region;
-
-  int busy = 0;
-  int waiting_threads = 0;
-  std::uint64_t taskwaits = 0;
-  Ticks serial_time = 0;
-  Ticks serial_start = 0;
-  Ticks longest_serial = 0;
-  Ticks longest_serial_start = 0;
-  bool in_serial = false;
-  Ticks prev_time = 0;
-  std::map<RegionHandle, Ticks> serial_by_region;
-  RegionHandle serial_current = kInvalidRegion;
-
-  auto serial_now = [&]() { return waiting_threads > 0 && busy <= 1; };
-  auto current_serial_region = [&]() -> RegionHandle {
-    if (busy != 1) return kInvalidRegion;
-    for (const ThreadState& ts : threads) {
-      if (ts.current != kImplicitTaskId) {
-        const auto it = instance_region.find(ts.current);
-        return it == instance_region.end() ? kInvalidRegion : it->second;
-      }
-    }
-    return kInvalidRegion;
-  };
-
-  for (const trace::TraceEvent& event : trace.merged()) {
-    // Close the elapsed interval against the previous state.
-    if (in_serial) {
-      serial_time += event.time - prev_time;
-      if (serial_current != kInvalidRegion) {
-        serial_by_region[serial_current] += event.time - prev_time;
-      }
-    }
-    prev_time = event.time;
-
-    ThreadState& ts = threads[event.thread];
-    switch (event.kind) {
-      case trace::EventKind::kCreateEnd:
-        instance_region[event.task] = event.region;
-        break;
-      case trace::EventKind::kTaskBegin:
-        if (ts.current == kImplicitTaskId) ++busy;
-        ts.current = event.task;
-        instance_region.emplace(event.task, event.region);
-        break;
-      case trace::EventKind::kTaskEnd:
-        if (ts.current != kImplicitTaskId) --busy;
-        ts.current = kImplicitTaskId;
-        break;
-      case trace::EventKind::kTaskSwitch:
-        if (event.task == kImplicitTaskId) {
-          if (ts.current != kImplicitTaskId) --busy;
-          ts.current = kImplicitTaskId;
-        } else {
-          if (ts.current == kImplicitTaskId) ++busy;
-          ts.current = event.task;
-        }
-        break;
-      case trace::EventKind::kTaskwaitBegin:
-        if (ts.taskwait_depth == 0) ++waiting_threads;
-        ++ts.taskwait_depth;
-        ++taskwaits;
-        break;
-      case trace::EventKind::kTaskwaitEnd:
-        if (ts.taskwait_depth > 0) {
-          --ts.taskwait_depth;
-          if (ts.taskwait_depth == 0) --waiting_threads;
-        }
-        break;
-      default:
-        break;
-    }
-
-    const bool serial = serial_now();
-    if (serial && !in_serial) {
-      serial_start = event.time;
-    } else if (!serial && in_serial) {
-      const Ticks len = event.time - serial_start;
-      if (len > longest_serial) {
-        longest_serial = len;
-        longest_serial_start = serial_start;
-      }
-    }
-    in_serial = serial;
-    serial_current = serial ? current_serial_region() : kInvalidRegion;
-  }
-
-  if (taskwaits < opt.serial_min_taskwaits) return;
-  const auto [t_begin, t_end] = trace.time_span();
-  const Ticks span = t_end - t_begin;
+  const trace::TaskwaitSerialization& serial =
+      ctx.trace_analysis->serialization;
+  if (serial.taskwaits < opt.serial_min_taskwaits) return;
+  const Ticks span = ctx.trace_analysis->time_span;
   if (span <= 0) return;
   const double fraction =
-      static_cast<double>(serial_time) / static_cast<double>(span);
+      static_cast<double>(serial.time) / static_cast<double>(span);
   if (fraction < opt.serial_fraction_warn) return;
 
   Diagnosis d;
@@ -566,12 +425,12 @@ void detect_taskwait_serialization(const DetectorContext& ctx,
   d.severity = fraction >= opt.serial_fraction_problem ? Severity::kProblem
                                                        : Severity::kWarning;
   d.score = fraction;
-  d.at = longest_serial_start;
+  d.at = serial.longest_start;
   d.thread = 0;
 
   RegionHandle worst = kInvalidRegion;
   Ticks worst_time = 0;
-  for (const auto& [region, time] : serial_by_region) {
+  for (const auto& [region, time] : serial.by_construct) {
     if (time > worst_time) {
       worst = region;
       worst_time = time;
@@ -584,13 +443,14 @@ void detect_taskwait_serialization(const DetectorContext& ctx,
   d.summary = "taskwait serialization: " + percent(fraction) +
               " of the region runs with at most one task in flight while "
               "a thread blocks in taskwait (" +
-              format_count(taskwaits) + " taskwaits)";
+              format_count(serial.taskwaits) + " taskwaits)";
   d.remediation =
       "batch spawns before waiting: move the taskwait out of the "
       "per-task loop so siblings overlap";
   add_metric(&d, "serial_fraction", fraction, "ratio");
-  add_metric(&d, "serial_time", static_cast<double>(serial_time), "ns");
-  add_metric(&d, "taskwaits", static_cast<double>(taskwaits), "count");
+  add_metric(&d, "serial_time", static_cast<double>(serial.time), "ns");
+  add_metric(&d, "taskwaits", static_cast<double>(serial.taskwaits),
+             "count");
   out->push_back(std::move(d));
 }
 

@@ -7,14 +7,6 @@
 
 namespace taskprof::diag {
 
-std::string construct_display_name(RegionHandle region,
-                                   const RegionRegistry& registry) {
-  if (region != kInvalidRegion && region < registry.size()) {
-    return registry.info(region).name;
-  }
-  return "(unattributed)";
-}
-
 WorkSpanSummary compute_workspan(const trace::TraceAnalysis& analysis,
                                  const RegionRegistry& registry) {
   WorkSpanSummary out;
@@ -35,7 +27,7 @@ WorkSpanSummary compute_workspan(const trace::TraceAnalysis& analysis,
     share.instances += 1;
   }
   for (auto& [region, share] : shares) {
-    share.name = construct_display_name(region, registry);
+    share.name = registry.display_name(region);
     out.shares.push_back(share);
   }
   std::sort(out.shares.begin(), out.shares.end(),
@@ -91,7 +83,7 @@ DiagnosisReport run_diagnosis(const DiagnosisInput& input,
 
   trace::TraceAnalysis trace_analysis;
   const bool have_trace =
-      input.trace != nullptr && !input.trace->merged().empty();
+      input.trace != nullptr && input.trace->event_count() > 0;
   if (have_trace) {
     trace_analysis = trace::analyze_trace(*input.trace);
     report.workspan = compute_workspan(trace_analysis, *input.registry);

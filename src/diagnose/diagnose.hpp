@@ -115,13 +115,6 @@ struct DiagnoseOptions {
   double serial_fraction_problem = 0.60;
 };
 
-/// Stable display name for a construct: the registry name when the
-/// handle resolves, "(unattributed)" for kInvalidRegion / out-of-range
-/// handles (tasks recorded without a region — degenerate traces, manual
-/// event streams).
-[[nodiscard]] std::string construct_display_name(RegionHandle region,
-                                                 const RegionRegistry& registry);
-
 /// One construct's share of the critical path.
 struct ConstructSpanShare {
   RegionHandle region = kInvalidRegion;

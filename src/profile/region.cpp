@@ -38,6 +38,13 @@ const RegionInfo& RegionRegistry::info(RegionHandle handle) const {
   return *regions_[handle];
 }
 
+std::string RegionRegistry::display_name(RegionHandle handle) const {
+  if (handle == kInvalidRegion) return "(unattributed)";
+  std::scoped_lock lock(mutex_);
+  if (handle < regions_.size()) return regions_[handle]->name;
+  return "region " + std::to_string(handle);
+}
+
 std::size_t RegionRegistry::size() const {
   std::scoped_lock lock(mutex_);
   return regions_.size();

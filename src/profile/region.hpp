@@ -75,6 +75,12 @@ class RegionRegistry {
   /// Look up a handle.  Precondition: handle was returned by this registry.
   [[nodiscard]] const RegionInfo& info(RegionHandle handle) const;
 
+  /// The name to show for any handle, registered or not: the registry
+  /// name when the handle is in range, "(unattributed)" for
+  /// kInvalidRegion (tasks recorded without a construct), "region N"
+  /// otherwise (trace files, which store handles but no names).
+  [[nodiscard]] std::string display_name(RegionHandle handle) const;
+
   [[nodiscard]] std::size_t size() const;
 
  private:

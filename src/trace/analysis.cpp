@@ -4,7 +4,6 @@
 #include <map>
 #include <sstream>
 
-#include "common/assert.hpp"
 #include "common/format.hpp"
 
 namespace taskprof::trace {
@@ -16,6 +15,9 @@ struct ThreadReplay {
   std::uint32_t current = TaskForest::kNoNode;  ///< running explicit task
   Ticks fragment_start = 0;
   Ticks implicit_begin = 0;
+  /// Open taskwaits.  Unlike sync_stack it outlives the implicit task:
+  /// a migrated untied task's taskwait stays open on the thread it began.
+  int taskwait_depth = 0;
 
   /// Open scheduling-point regions; last_activity tracks the end of the
   /// last executed fragment (or the region entry) for gap classification.
@@ -32,6 +34,8 @@ TraceAnalysis analyze_trace(const Trace& trace,
   constexpr std::uint32_t kNoNode = TaskForest::kNoNode;
   TraceAnalysis out;
   out.threads.resize(trace.thread_count());
+  const std::vector<TraceEvent>& events = trace.merged();
+  if (!events.empty()) out.time_span = events.back().time - events[0].time;
 
   // One replay feeds both the forest and the lifetimes, which are
   // indexed by forest node (implicit nodes get an unused slot).
@@ -39,6 +43,21 @@ TraceAnalysis analyze_trace(const Trace& trace,
   std::vector<TaskLifetime> lifetimes;
   lifetimes.reserve(forest.node_capacity());
   std::vector<ThreadReplay> replay(trace.thread_count());
+
+  // Pattern state: the ready backlog, and how many threads execute a
+  // task or sit in a taskwait.
+  CreationBacklog& backlog = out.backlog;
+  TaskwaitSerialization& serialization = out.serialization;
+  const auto elevated = static_cast<std::int64_t>(
+      std::max<std::size_t>(16, 4 * trace.thread_count()));
+  std::int64_t ready = 0;  // created - begun
+  int executing = 0;
+  int in_taskwait = 0;
+  bool serial = false;
+  Ticks serial_start = 0;
+  Ticks longest_serial = 0;
+  Ticks last_time = 0;
+  RegionHandle serial_construct = kInvalidRegion;
 
   auto classify_gap = [&](ThreadId thread, Ticks gap) {
     if (gap <= 0) return;
@@ -63,6 +82,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
       state.sync_stack.back().last_activity = now;
     }
     state.current = kNoNode;
+    executing -= 1;
   };
 
   auto open_fragment = [&](ThreadReplay& state, ThreadId thread,
@@ -73,6 +93,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
     }
     state.current = node;
     state.fragment_start = now;
+    executing += 1;
     TaskLifetime& life = lifetimes[node];
     life.fragments += 1;
     if (!life.started) {
@@ -85,7 +106,7 @@ TraceAnalysis analyze_trace(const Trace& trace,
   // Recorded streams are time-ordered, so each thread's events keep
   // their order in the merged stream: the per-thread replay states
   // evolve exactly as if every stream were replayed on its own.
-  for (const TraceEvent& event : trace.merged()) {
+  for (const TraceEvent& event : events) {
     const std::uint32_t node = forest.add(event);
     if (event.thread >= replay.size()) continue;  // corrupt input
     if (lifetimes.size() < forest.node_count()) {
@@ -94,6 +115,18 @@ TraceAnalysis analyze_trace(const Trace& trace,
     if (node != kNoNode) lifetimes[node].id = event.task;
     const ThreadId thread = event.thread;
     ThreadReplay& state = replay[thread];
+
+    // Charge the time since the previous event to the serialized
+    // stretch it belonged to.
+    if (serial) {
+      serialization.time += event.time - last_time;
+      if (serial_construct != kInvalidRegion) {
+        serialization.by_construct[serial_construct] +=
+            event.time - last_time;
+      }
+    }
+    last_time = event.time;
+
     switch (event.kind) {
       case EventKind::kImplicitBegin:
         state.implicit_begin = event.time;
@@ -108,24 +141,32 @@ TraceAnalysis analyze_trace(const Trace& trace,
         TaskLifetime& life = lifetimes[node];
         life.region = event.region;
         life.parameter = event.parameter;
-        life.creator = thread;
         life.created = event.time;
-        life.parent = state.current == kNoNode
-                          ? kImplicitTaskId
-                          : lifetimes[state.current].id;
+        if (backlog.creations++ == 0) backlog.first_create = event.time;
+        ready += 1;
+        if (ready > static_cast<std::int64_t>(backlog.peak)) {
+          backlog.peak = static_cast<std::uint64_t>(ready);
+          backlog.peak_time = event.time;
+          backlog.peak_thread = thread;
+        }
+        if (ready >= elevated) backlog.elevated_creations[event.region] += 1;
         break;
       }
       case EventKind::kTaskBegin:
         close_fragment(state, thread, event.time);
         open_fragment(state, thread, node, event.time);
+        ready -= 1;
+        backlog.last_begin = event.time;
         break;
       case EventKind::kTaskEnd: {
-        TASKPROF_ASSERT(state.current == node,
-                        "trace replay: ending task is not current");
-        if (node == kNoNode) break;
+        // A task end closes whatever task the thread is running, as in
+        // the forest builder: the replay and the forest agree even when
+        // the event names another id (recorded traces never do).
+        const std::uint32_t ending = state.current;
+        if (ending == kNoNode) break;
         close_fragment(state, thread, event.time);
-        lifetimes[node].end = event.time;
-        lifetimes[node].completed = true;
+        lifetimes[ending].end = event.time;
+        lifetimes[ending].completed = true;
         break;
       }
       case EventKind::kTaskSwitch:
@@ -143,11 +184,19 @@ TraceAnalysis analyze_trace(const Trace& trace,
         }
         break;
       case EventKind::kTaskwaitBegin:
+        serialization.taskwaits += 1;
+        if (state.taskwait_depth++ == 0) in_taskwait += 1;
+        state.sync_stack.push_back(ThreadReplay::SyncFrame{event.time});
+        break;
       case EventKind::kBarrierBegin:
         state.sync_stack.push_back(ThreadReplay::SyncFrame{event.time});
         break;
       case EventKind::kTaskwaitEnd:
       case EventKind::kBarrierEnd: {
+        if (event.kind == EventKind::kTaskwaitEnd &&
+            state.taskwait_depth > 0 && --state.taskwait_depth == 0) {
+          in_taskwait -= 1;
+        }
         // A migrated untied task's taskwait may end on a different
         // thread than it began; such unmatched exits are skipped (the
         // decomposition is exact for tied tasks, approximate across
@@ -168,6 +217,27 @@ TraceAnalysis analyze_trace(const Trace& trace,
       case EventKind::kRegionExit:
       case EventKind::kSchedulerNote:
         break;
+    }
+
+    // Serialized: a thread sits in a taskwait while at most one task
+    // executes; the stretch is charged to that task's construct.
+    const bool now_serial = in_taskwait > 0 && executing <= 1;
+    if (now_serial && !serial) {
+      serial_start = event.time;
+    } else if (!now_serial && serial &&
+               event.time - serial_start > longest_serial) {
+      longest_serial = event.time - serial_start;
+      serialization.longest_start = serial_start;
+    }
+    serial = now_serial;
+    serial_construct = kInvalidRegion;
+    if (serial && executing == 1) {
+      for (const ThreadReplay& other : replay) {
+        if (other.current != kNoNode) {
+          serial_construct = forest.construct(other.current);
+          break;
+        }
+      }
     }
   }
   out.forest = forest.finish();
@@ -219,7 +289,7 @@ std::string render_analysis(const TraceAnalysis& analysis,
   TextTable table({"task construct", "instances", "active total",
                    "mean queue latency", "fragments", "migrations"});
   for (const auto& [region, agg] : constructs) {
-    table.add_row({registry.info(region).name, format_count(agg.instances),
+    table.add_row({registry.display_name(region), format_count(agg.instances),
                    format_ticks(agg.active),
                    format_ticks(static_cast<Ticks>(agg.latency.mean())),
                    format_count(agg.fragments),

@@ -11,13 +11,25 @@
 //    management / switching, long gap = starvation), giving "the ratio of
 //    overall management time to exclusive execution time for tasks";
 //  * per-instance queue latency (creation -> begin) and fragmentation;
-//  * per-thread utilization; and
+//  * per-thread utilization;
 //  * the longest task dependency chain, which the paper proposes as "a
 //    good estimate for the number of concurrent tasks" (§V-B) — the
-//    estimate can be checked against the profiler's measured maximum.
+//    estimate can be checked against the profiler's measured maximum;
+//    and
+//  * the time-domain facts behind two of Tuft et al.'s patterns, which
+//    diagnose's creation_storm and taskwait_serialization detectors
+//    threshold: the backlog of created-but-unstarted tasks, and the
+//    stretches where a taskwait holds the team at one task in flight.
+//
+// analyze_trace is the one replay of the merged event stream: a single
+// pass feeds the task forest, the lifetimes, the sync decomposition and
+// both blocks of pattern facts.  It accepts any trace that loads:
+// events on unknown threads are skipped, and a task end closes whatever
+// task its thread is running, whichever id it names.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -32,10 +44,7 @@ namespace taskprof::trace {
 struct TaskLifetime {
   TaskInstanceId id = 0;
   RegionHandle region = kInvalidRegion;
-  ThreadId creator = 0;
   std::int64_t parameter = kNoParameter;
-  /// Creating instance (kImplicitTaskId when created by an implicit task).
-  TaskInstanceId parent = kImplicitTaskId;
   Ticks created = 0;  ///< create_end timestamp
   Ticks begin = 0;    ///< first fragment start
   Ticks end = 0;      ///< completion
@@ -74,6 +83,33 @@ struct AnalysisOptions {
   Ticks management_gap_threshold = 3 * kTicksPerUs;
 };
 
+/// The ready backlog (tasks created but not yet begun) over the merged
+/// stream.
+struct CreationBacklog {
+  std::uint64_t creations = 0;  ///< create_end events
+  std::uint64_t peak = 0;       ///< largest backlog, first reached at:
+  Ticks peak_time = 0;
+  ThreadId peak_thread = 0;
+  Ticks first_create = 0;  ///< meaningful when creations > 0
+  Ticks last_begin = 0;
+  /// Creations per construct made while the backlog stood at or above
+  /// max(16, 4 x thread count): the storm's source rather than an
+  /// innocent bystander.
+  std::map<RegionHandle, std::uint64_t> elevated_creations;
+};
+
+/// Serialized stretches: some thread sits in a taskwait while at most
+/// one thread executes a task.
+struct TaskwaitSerialization {
+  std::uint64_t taskwaits = 0;  ///< taskwait_begin events
+  Ticks time = 0;               ///< total serialized time
+  /// Start of the longest serialized stretch that ended in the trace.
+  Ticks longest_start = 0;
+  /// Serialized time per construct of the one task still executing
+  /// (stretches with no task executing are charged to none).
+  std::map<RegionHandle, Ticks> by_construct;
+};
+
 struct TraceAnalysis {
   std::vector<TaskLifetime> tasks;  ///< completed instances, by begin time
   std::vector<ThreadUsage> threads;
@@ -99,6 +135,11 @@ struct TraceAnalysis {
   // over parallel regions (TaskForest::creation_chain).
   Ticks critical_chain_time = 0;
   int critical_chain_length = 0;  ///< instances on the chain
+
+  // Pattern facts (diagnose thresholds them).
+  Ticks time_span = 0;  ///< last event time - first event time
+  CreationBacklog backlog;
+  TaskwaitSerialization serialization;
 };
 
 /// Run all analyses over a trace.

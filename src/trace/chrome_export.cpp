@@ -136,10 +136,8 @@ struct TaskOrigin {
 std::string region_label(const RegionRegistry* registry,
                          RegionHandle region) {
   if (region == kInvalidRegion) return "task";
-  if (registry != nullptr && region < registry->size()) {
-    return registry->info(region).name;
-  }
-  return "region " + std::to_string(region);
+  static const RegionRegistry kNoNames;
+  return (registry != nullptr ? *registry : kNoNames).display_name(region);
 }
 
 /// An open duration slice on a thread's stack.

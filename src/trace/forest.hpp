@@ -1,7 +1,8 @@
 // The task forest: the one reconstruction of the task structure from a
-// recorded trace.  trace::analyze_trace builds it; the trace analyses,
-// diagnose (work/span, the spawn-chain detector) and whatif (the
-// sync-aware span) query it.
+// recorded trace.  trace::analyze_trace builds it inside its one replay
+// of the merged stream (which also reads each running task's construct
+// from it); the trace analyses, diagnose (work/span, the spawn-chain
+// detector) and whatif (the sync-aware span) query it.
 //
 // One node per task (explicit tasks, and one implicit task per thread
 // and parallel region) holds an ordered item list:
@@ -165,7 +166,9 @@ class TaskForest {
 
 /// Replays a trace into a forest: feed every event of `trace.merged()`
 /// in order, then finish().  trace::analyze_trace runs its own replay
-/// in the same pass, so the event stream is walked once.
+/// in the same pass, so the event stream is walked once.  Any event
+/// sequence is accepted: events on unknown threads are ignored, and a
+/// task end completes whatever task its thread runs.
 class TaskForest::Builder {
  public:
   explicit Builder(const Trace& trace);
@@ -178,6 +181,10 @@ class TaskForest::Builder {
   /// Nodes reserved up front: one per begun task and implicit task.
   [[nodiscard]] std::size_t node_capacity() const noexcept {
     return out_.nodes_.capacity();
+  }
+  /// The task construct of `node` as known so far.
+  [[nodiscard]] RegionHandle construct(std::uint32_t node) const {
+    return out_.nodes_[node].construct;
   }
   [[nodiscard]] TaskForest finish();
 

@@ -6,8 +6,6 @@
 #include <map>
 #include <set>
 
-#include "diagnose/diagnose.hpp"
-
 namespace taskprof::whatif {
 
 const char* error_code_name(ErrorCode code) noexcept {
@@ -122,7 +120,7 @@ Error WhatIfProfile::build(const trace::Trace& /*trace*/,
   out->paths_.clear();
   out->paths_.reserve(by_path.size());
   for (auto& [key, stats] : by_path) {
-    stats.name = diag::construct_display_name(stats.region, registry);
+    stats.name = registry.display_name(stats.region);
     out->paths_.push_back(std::move(stats));
   }
   std::sort(out->paths_.begin(), out->paths_.end(),

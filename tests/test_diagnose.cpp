@@ -326,6 +326,23 @@ TEST(Diagnose, ProfileOnlyInputStillRunsConstructDetectors) {
   EXPECT_EQ(d->severity, diag::Severity::kProblem);
 }
 
+// Trace files are outside input: an event on a thread the trace does not
+// have is skipped, not indexed.
+TEST(Diagnose, TraceEventOnAnUnknownThreadIsSkipped) {
+  const trace::Trace trace({{trace::TraceEvent{
+                                .time = 100,
+                                .thread = 40'000'000,
+                                .kind = trace::EventKind::kTaskwaitBegin}},
+                            {}});
+  const RegionRegistry no_names;
+  diag::DiagnosisInput input;
+  input.registry = &no_names;
+  input.trace = &trace;
+  const diag::DiagnosisReport report = diag::run_diagnosis(input);
+  EXPECT_TRUE(report.has_workspan);
+  EXPECT_TRUE(report.findings.empty());
+}
+
 TEST(Diagnose, ParseSeverityRoundTrips) {
   diag::Severity s;
   EXPECT_TRUE(diag::parse_severity("info", &s));

@@ -14,6 +14,15 @@ TEST(RegionRegistry, RegistersAndLooksUp) {
   EXPECT_EQ(info.type, RegionType::kTask);
 }
 
+TEST(RegionRegistry, DisplayNameCoversEveryHandle) {
+  RegionRegistry registry;
+  const RegionHandle h = registry.register_region("fib_task", RegionType::kTask);
+  EXPECT_EQ(registry.display_name(h), "fib_task");
+  EXPECT_EQ(registry.display_name(h + 1), "region 1");
+  EXPECT_EQ(registry.display_name(0xfffffeffu), "region 4294967039");
+  EXPECT_EQ(registry.display_name(kInvalidRegion), "(unattributed)");
+}
+
 TEST(RegionRegistry, DeduplicatesSameNameAndType) {
   RegionRegistry registry;
   const RegionHandle a = registry.register_region("foo", RegionType::kTask);

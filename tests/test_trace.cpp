@@ -222,16 +222,45 @@ TEST_F(TraceTest, AnalysisReconstructsTaskLifetimes) {
   for (const trace::TaskLifetime& life : analysis.tasks) {
     EXPECT_TRUE(life.completed);
     EXPECT_EQ(life.region, task_);
-    EXPECT_EQ(life.parent, kImplicitTaskId);
     EXPECT_GE(life.begin, life.created);  // cannot start before creation
     EXPECT_GE(life.end, life.begin);
     EXPECT_GE(life.active, 10'000);
     EXPECT_EQ(life.fragments, 1);  // no suspension in this program
     EXPECT_EQ(life.migrations, 0);
   }
+  // Every task was created by the implicit task.
+  const auto& nodes = analysis.forest.nodes();
+  for (const trace::TaskForest::Node& node : nodes) {
+    if (node.implicit) continue;
+    ASSERT_NE(node.parent, trace::TaskForest::kNoNode);
+    EXPECT_TRUE(nodes[node.parent].implicit);
+  }
   EXPECT_GE(analysis.total_active, 60'000);
   EXPECT_EQ(analysis.queue_latency.count, 6u);
   EXPECT_GT(analysis.queue_latency.mean(), 0.0);
+}
+
+// A task end closes whatever task its thread runs, as the forest does,
+// even when the event names another id.
+TEST(TraceAnalysis, TaskEndClosesTheRunningTask) {
+  const Trace trace({{
+      {.time = 0, .kind = EventKind::kImplicitBegin},
+      {.time = 10, .task = 5, .region = 0, .kind = EventKind::kCreateEnd},
+      {.time = 20, .task = 5, .region = 0, .kind = EventKind::kTaskBegin},
+      {.time = 30, .task = 6, .kind = EventKind::kTaskEnd},
+      {.time = 40, .kind = EventKind::kImplicitEnd},
+  }});
+  const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
+  ASSERT_EQ(analysis.tasks.size(), 1u);
+  EXPECT_EQ(analysis.tasks[0].id, 5u);
+  EXPECT_EQ(analysis.tasks[0].end, 30);
+  EXPECT_EQ(analysis.tasks[0].active, 10);
+  for (const trace::TaskForest::Node& node : analysis.forest.nodes()) {
+    if (node.implicit) continue;
+    EXPECT_EQ(node.id, 5u);
+    EXPECT_TRUE(node.completed);
+    EXPECT_EQ(node.active, 10);
+  }
 }
 
 TEST_F(TraceTest, SuspendedTasksHaveMultipleFragments) {

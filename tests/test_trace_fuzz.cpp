@@ -1,7 +1,9 @@
 // Loader robustness: read_trace_file must load or reject with
 // std::runtime_error every truncation, seeded bit flip and forged header
 // of a small recorded trace — never crash, and never allocate for events
-// the file cannot hold.  The block codec must decode the same events and
+// the file cannot hold.  Every trace that loads must also pass through
+// every trace consumer (analysis, diagnosis, what-if, Chrome export)
+// without a crash.  The block codec must decode the same events and
 // write the same bytes whatever its block size, including blocks that
 // cut events in two.
 #include <gtest/gtest.h>
@@ -13,14 +15,22 @@
 #include <fstream>
 #include <iterator>
 #include <new>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "diagnose/diagnose.hpp"
+#include "diagnose/render.hpp"
 #include "rt/sim_runtime.hpp"
+#include "trace/analysis.hpp"
+#include "trace/chrome_export.hpp"
 #include "trace/file.hpp"
 #include "trace/recorder.hpp"
+#include "whatif/render.hpp"
+#include "whatif/whatif.hpp"
 
 // Allocation accounting: while `t_counting` is set on a thread, every
 // operator new on it adds its size to `t_allocated`.
@@ -80,6 +90,35 @@ trace::Trace small_trace() {
   return recorder.take();
 }
 
+/// Runs `trace` through every trace-only consumer, as taskprof_cli's
+/// --analyze-trace, `diagnose --trace-file` and `whatif --trace-file`
+/// do: region names come from an empty registry.
+void consume(const trace::Trace& trace) {
+  const RegionRegistry no_names;
+  const trace::TraceAnalysis analysis = trace::analyze_trace(trace);
+  (void)trace::render_analysis(analysis, no_names);
+  (void)trace::render_timeline(trace);
+
+  diag::DiagnosisInput input;
+  input.registry = &no_names;
+  input.trace = &trace;
+  std::ostringstream text;
+  diag::render_diagnosis_text(diag::run_diagnosis(input), text);
+
+  whatif::WhatIfProfile profile;
+  if (whatif::WhatIfProfile::build(trace, analysis, no_names, &profile)
+          .ok()) {
+    whatif::Report report;
+    report.summarize(profile);
+    report.top_targets = profile.rank_targets(0.5, {2, 4});
+    whatif::render_whatif_text(report, text);
+  }
+
+  trace::ChromeExportOptions chrome;
+  chrome.registry = &no_names;
+  (void)trace::render_chrome_trace(trace, chrome);
+}
+
 class TraceFuzz : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -108,8 +147,9 @@ class TraceFuzz : public ::testing::Test {
   /// test).  Also checks what the load allocated: one block buffer no
   /// larger than the file, 24 bytes per declared thread (8 in the file)
   /// and 40 per event (37 in the file), plus the error message.
+  /// The loaded trace goes to `out` when given.
   bool loads(const Bytes& bytes, std::size_t length, std::size_t block_bytes,
-             std::string* error = nullptr) const {
+             std::string* error = nullptr, trace::Trace* out = nullptr) const {
     write_file(bytes, length);
     bool loaded = false;
     std::size_t allocated = 0;
@@ -117,12 +157,13 @@ class TraceFuzz : public ::testing::Test {
       t_allocated = 0;
       t_counting = true;
       try {
-        const trace::Trace trace =
+        trace::Trace trace =
             trace::detail::read_trace_file(path_, block_bytes);
         t_counting = false;
         allocated = t_allocated;
         loaded = true;
         (void)trace.merged();  // a loaded corrupt trace must still merge
+        if (out != nullptr) *out = std::move(trace);
       } catch (const std::runtime_error& failure) {
         t_counting = false;
         allocated = t_allocated;
@@ -166,7 +207,11 @@ TEST_F(TraceFuzz, SeededBitFlipsLoadOrThrow) {
     const std::size_t byte = rng.next_below(mutated.size());
     mutated[byte] ^= static_cast<unsigned char>(1u << rng.next_below(8));
     const std::size_t block = i % 2 == 0 ? 64 : 1u << 20;
-    (void)loads(mutated, mutated.size(), block);  // either way, no crash
+    // Either way, no crash; and what loads, every consumer accepts.
+    trace::Trace loaded;
+    if (loads(mutated, mutated.size(), block, nullptr, &loaded)) {
+      consume(loaded);
+    }
   }
 }
 

@@ -164,8 +164,7 @@ TEST(WorkSpan, RegionlessTasksGetAStableLabel) {
   const diag::WorkSpanSummary ws = diag::compute_workspan(analysis, registry);
   ASSERT_EQ(ws.shares.size(), 1u);
   EXPECT_EQ(ws.shares[0].name, "(unattributed)");
-  EXPECT_EQ(diag::construct_display_name(kInvalidRegion, registry),
-            "(unattributed)");
+  EXPECT_EQ(registry.display_name(kInvalidRegion), "(unattributed)");
 }
 
 TEST(WorkSpan, TasksOfAnUnfinishedCreatorAreChainRoots) {
